@@ -280,7 +280,7 @@ func BenchmarkStreamedFullscale(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			k, err := simrun.Exec(kcfg, fifoPolicy(), ghost.Config{}, simrun.AddTasks(workload.Tasks(invs)))
+			k, err := simrun.ExecStats(kcfg, fifoPolicy(), ghost.Config{}, simrun.AddTasks(workload.Tasks(invs)), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

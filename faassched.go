@@ -398,12 +398,8 @@ func streamOpts(opts Options) (Options, ghost.Policy, error) {
 // admission, completion-sink retirement, task recycling — with the exact
 // in-memory record sink, and is observationally identical to Simulate on
 // the materialized equivalent of src (TestGoldenDigests pins this per
-// scheduler), with one caveat: exact identity for tick-driven schedulers
-// additionally requires every fully idle traffic gap to be shorter than
-// the look-ahead window, or the paused tick grid re-phases at the next
-// arrival (DESIGN.md §7). Memory for the record set is still
-// O(invocations); use SimulateAccumulated when the horizon makes even
-// that too much.
+// scheduler). Memory for the record set is still O(invocations); use
+// SimulateAccumulated when the horizon makes even that too much.
 func SimulateStreamed(opts Options, src Source) (*Result, error) {
 	opts, policy, err := streamOpts(opts)
 	if err != nil {
@@ -609,9 +605,8 @@ type ClusterOptions struct {
 	TimeLimit time.Duration
 	// Streamed drives every server through the lazy-admission streaming
 	// dataflow with a per-server sink and task pool. Results are
-	// bit-for-bit identical to the materialized path (subject to the idle
-	// gap caveat on SimulateStreamed); per-server peak memory drops to
-	// active tasks + look-ahead window.
+	// bit-for-bit identical to the materialized path; per-server peak
+	// memory drops to active tasks + look-ahead window.
 	Streamed bool
 	// ColdStart configures the per-function warm-instance model. The zero
 	// value disables it and reproduces the pre-model results exactly.

@@ -52,12 +52,13 @@ type Config struct {
 	// re-sorted by global invocation id), so results are bit-for-bit
 	// identical either way — provided the policy never calls
 	// Env.AbortTask (see simrun.ExecStream's precondition; no dispatchable
-	// policy does) and no fully idle traffic gap exceeds the look-ahead
-	// window (else tick-driven policies re-phase their agent tick,
-	// DESIGN.md §7).
+	// policy does).
 	Streamed bool
-	// Window overrides the streamed feeders' look-ahead half-window.
-	// Zero means simrun.DefaultWindow. Ignored unless Streamed.
+	// Window overrides the streamed feeders' look-ahead half-window and
+	// the lockstep replay's watermark spacing; zero means
+	// simrun.DefaultWindow, and the materialized dataflow ignores it. It
+	// trades memory against feeder and watermark overhead only: results
+	// do not depend on it (DESIGN.md §7).
 	Window time.Duration
 	// ColdStart configures the per-function warm-instance model (see
 	// coldstart.go and DESIGN.md §10). The zero value disables it, and a

@@ -8,6 +8,8 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/pricing"
+	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/trace"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -88,46 +90,92 @@ func TestShardedExactMatchesFlat(t *testing.T) {
 			flatCfg := testConfig(5, d)
 			flatCfg.Policy = mk.factory
 			flatCfg.Seed = 1
-			flat, err := Simulate(flatCfg, invs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, shards := range []int{1, 3, 7} {
 				for _, workers := range []int{1, 3} {
-					name := fmt.Sprintf("%s/%s/shards=%d/workers=%d", d, mk.name, shards, workers)
 					cfg := flatCfg
 					cfg.Shards, cfg.Workers = shards, workers
-					got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if len(got.Set.Records) != len(flat.Set.Records) {
-						t.Fatalf("%s: %d records, flat has %d", name, len(got.Set.Records), len(flat.Set.Records))
-					}
-					for i := range flat.Set.Records {
-						if got.Set.Records[i] != flat.Set.Records[i] {
-							t.Fatalf("%s: record %d differs:\nsharded %+v\nflat    %+v",
-								name, i, got.Set.Records[i], flat.Set.Records[i])
-						}
-					}
-					if got.Makespan != flat.Makespan || got.Preemptions != flat.Preemptions {
-						t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
-							name, got.Makespan, flat.Makespan, got.Preemptions, flat.Preemptions)
-					}
-					for i := range flat.Assignment {
-						if got.Assignment[i] != flat.Assignment[i] {
-							t.Fatalf("%s: invocation %d routed to server %d, flat routed to %d",
-								name, i, got.Assignment[i], flat.Assignment[i])
-						}
-					}
-					for s := range flat.PerServer {
-						fs, gs := flat.PerServer[s], got.PerServer[s]
-						if gs.Invocations != fs.Invocations || gs.Makespan != fs.Makespan || gs.Preemptions != fs.Preemptions {
-							t.Errorf("%s: server %d shape differs", name, s)
-						}
-					}
+					checkShardedExact(t, fmt.Sprintf("%s/%s/shards=%d/workers=%d", d, mk.name, shards, workers), flatCfg, cfg, invs)
 				}
 			}
+		}
+	}
+	// Watermarks far shorter than the traffic's idle gaps: a server can
+	// drain between two watermarks while its next arrival is still with
+	// the router. Its agent tick, sampler and monitor must then stay on
+	// the grid the flat run keeps (the kernel's arrivals-pending flag,
+	// DESIGN.md §7), or CFS re-phases its slice ticks.
+	for _, seed := range []int64{1, 7} {
+		invs := tracedWorkload(t, seed)
+		flatCfg := Config{
+			Servers:  3,
+			Dispatch: DispatchLeastLoaded,
+			Kernel:   simkern.DefaultConfig(4),
+			Policy:   cfsFactory,
+			Seed:     seed,
+		}
+		for _, window := range []time.Duration{time.Second, 2 * time.Second} {
+			cfg := flatCfg
+			cfg.Shards, cfg.Workers, cfg.Window = 1, 1, window
+			name := fmt.Sprintf("traced/seed=%d/cfs/window=%v", seed, window)
+			t.Run(name, func(t *testing.T) { checkShardedExact(t, name, flatCfg, cfg, invs) })
+		}
+	}
+}
+
+// tracedWorkload is the golden-shaped workload: one minute of the seeded
+// synthetic Azure trace, sampled down to 400 invocations.
+func tracedWorkload(t *testing.T, seed int64) []workload.Invocation {
+	t.Helper()
+	tcfg := trace.DefaultConfig()
+	tcfg.Seed = seed
+	tcfg.Minutes = 10
+	tr, err := trace.Generate(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invs, err := workload.Builder{}.Build(tr, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.Sample(invs, 400)
+}
+
+// checkShardedExact runs invs flat under flatCfg and lockstep-sharded
+// under cfg, and requires records, routing and per-server shape to match
+// bit for bit.
+func checkShardedExact(t *testing.T, name string, flatCfg, cfg Config, invs []workload.Invocation) {
+	t.Helper()
+	flat, err := Simulate(flatCfg, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(got.Set.Records) != len(flat.Set.Records) {
+		t.Fatalf("%s: %d records, flat has %d", name, len(got.Set.Records), len(flat.Set.Records))
+	}
+	for i := range flat.Set.Records {
+		if got.Set.Records[i] != flat.Set.Records[i] {
+			t.Fatalf("%s: record %d differs:\nsharded %+v\nflat    %+v",
+				name, i, got.Set.Records[i], flat.Set.Records[i])
+		}
+	}
+	if got.Makespan != flat.Makespan || got.Preemptions != flat.Preemptions {
+		t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
+			name, got.Makespan, flat.Makespan, got.Preemptions, flat.Preemptions)
+	}
+	for i := range flat.Assignment {
+		if got.Assignment[i] != flat.Assignment[i] {
+			t.Fatalf("%s: invocation %d routed to server %d, flat routed to %d",
+				name, i, got.Assignment[i], flat.Assignment[i])
+		}
+	}
+	for s := range flat.PerServer {
+		fs, gs := flat.PerServer[s], got.PerServer[s]
+		if gs.Invocations != fs.Invocations || gs.Makespan != fs.Makespan || gs.Preemptions != fs.Preemptions {
+			t.Errorf("%s: server %d shape differs", name, s)
 		}
 	}
 }

@@ -194,9 +194,9 @@ type Hybrid struct {
 }
 
 var (
-	_ ghost.Policy        = (*Hybrid)(nil)
-	_ ghost.HorizonTicker = (*Hybrid)(nil)
-	_ ghost.TaskEvictor   = (*Hybrid)(nil)
+	_ ghost.Policy      = (*Hybrid)(nil)
+	_ ghost.Ticker      = (*Hybrid)(nil)
+	_ ghost.TaskEvictor = (*Hybrid)(nil)
 )
 
 // New returns a hybrid scheduler. Call Config.Validate against the target
@@ -242,7 +242,7 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 	h.cfsEng = cfs.NewEngine(env, cfsCores, h.cfg.CFS)
 	h.monitorFn = func() {
 		h.monitor()
-		if h.env.Outstanding() > 0 {
+		if h.env.Live() {
 			h.scheduleMonitor()
 		} else {
 			h.monitorOn = false
@@ -333,7 +333,7 @@ func (h *Hybrid) OnTick() {
 	h.cfsEng.Tick()
 }
 
-// NextDecision implements ghost.HorizonTicker: the earliest instant at
+// NextDecision implements ghost.Ticker: the earliest instant at
 // which OnTick could act, composed from the CFS engine's slice-expiry
 // horizon and the FIFO lane. Per FIFO core: a kernel-idle core next to a
 // non-empty global queue dispatches at the very next boundary (Dispatch

@@ -352,7 +352,7 @@ func (e *Env) RunPolicy(policy ghost.Policy, invs []workload.Invocation, recordU
 // RunPolicyWith is RunPolicy with explicit kernel and delegation configs —
 // the ablation experiments use it to sweep substrate parameters.
 func (e *Env) RunPolicyWith(policy ghost.Policy, invs []workload.Invocation, kcfg simkern.Config, gcfg ghost.Config) (*RunOutput, error) {
-	k, err := simrun.Exec(kcfg, policy, gcfg, simrun.AddTasks(workload.Tasks(invs)))
+	k, err := simrun.ExecStats(kcfg, policy, gcfg, simrun.AddTasks(workload.Tasks(invs)), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -132,10 +132,7 @@ type Fleet struct {
 	sink      metrics.Sink
 }
 
-var (
-	_ ghost.Policy = (*Fleet)(nil)
-	_ ghost.Ticker = (*Fleet)(nil)
-)
+var _ ghost.Policy = (*Fleet)(nil)
 
 // NewFleet wraps inner with microVM lifecycle management.
 func NewFleet(inner ghost.Policy, cfg Config) (*Fleet, error) {
@@ -161,6 +158,11 @@ func (f *Fleet) Attach(env *ghost.Env) {
 	f.env = env
 	f.inner.Attach(env)
 }
+
+// Unwrap returns the inner policy; the enclave finds its Ticker through
+// it. Refused launches abort inside message dispatch, after which the
+// enclave re-evaluates the tick horizon anyway.
+func (f *Fleet) Unwrap() ghost.Policy { return f.inner }
 
 // newVM builds microVM i's state for inv. Task IDs are assigned as 3·i+1
 // (boot), 3·i+2 (vCPU), 3·i+3 (IO) so records remain traceable to
@@ -324,21 +326,6 @@ func (f *Fleet) booted(vm *vmState) {
 		if err := f.env.AddTask(vm.io); err != nil {
 			panic(fmt.Sprintf("firecracker: add io for vm %d: %v", vm.id, err))
 		}
-	}
-}
-
-// TickEvery implements ghost.Ticker by delegating to the inner policy.
-func (f *Fleet) TickEvery() time.Duration {
-	if t, ok := f.inner.(ghost.Ticker); ok {
-		return t.TickEvery()
-	}
-	return 0
-}
-
-// OnTick implements ghost.Ticker by delegating to the inner policy.
-func (f *Fleet) OnTick() {
-	if t, ok := f.inner.(ghost.Ticker); ok {
-		t.OnTick()
 	}
 }
 

@@ -55,42 +55,62 @@ type Message struct {
 //
 // Attach is called exactly once before any message. OnMessage receives
 // every delegation message in deterministic order. Policies that also
-// implement Ticker get periodic OnTick callbacks managed by the enclave.
+// implement Ticker get OnTick callbacks managed by the enclave.
+//
+// A policy that wraps another (a dataflow's record retirer, the fault
+// executor, the microVM fleet) exposes it through an Unwrap() Policy
+// method; As finds optional capabilities — Ticker, TaskEvictor — along
+// that chain, so wrappers never forward them.
 type Policy interface {
 	Name() string
 	Attach(env *Env)
 	OnMessage(msg Message)
 }
 
-// Ticker is implemented by policies needing a periodic agent tick (e.g.
-// CFS's time-slice check, the hybrid scheduler's time-limit scan). The
-// enclave schedules ticks only while the machine has outstanding work, so
-// simulations terminate.
-type Ticker interface {
-	TickEvery() time.Duration
-	OnTick()
+// As returns the first policy in p's Unwrap chain (p itself first) that
+// implements capability T — the single lookup for optional Policy
+// capabilities, in the manner of errors.As. A wrapper that must intercept
+// a capability implements it itself and so shadows the wrapped policy's.
+func As[T any](p Policy) (T, bool) {
+	for p != nil {
+		if c, ok := p.(T); ok {
+			return c, true
+		}
+		w, ok := p.(interface{ Unwrap() Policy })
+		if !ok {
+			break
+		}
+		p = w.Unwrap()
+	}
+	var zero T
+	return zero, false
 }
 
-// HorizonTicker is the tick-elision extension of Ticker (DESIGN.md §9):
-// the policy can compute, from its own state, the earliest future instant
-// at which OnTick could change scheduling state — CFS's next slice expiry,
-// the hybrid's next FIFO time-limit crossing, or "right now" when a core
-// sits idle next to queued work. The enclave then arms exactly one tick at
-// the first tick-grid boundary not before that horizon instead of waking
-// the policy at every boundary, and re-evaluates the horizon after every
-// message delivery (and on Env.InvalidateHorizon for policy-timer-driven
-// state changes). Every tick still fires on the identical phase grid the
-// naive pump would use, so elision is observationally invisible.
+// Ticker is implemented by policies needing a periodic agent tick (e.g.
+// CFS's time-slice check, the hybrid scheduler's time-limit scan). Ticks
+// fall on a fixed phase grid of TickEvery boundaries, alive while the
+// kernel is Live, so simulations terminate.
+//
+// The policy also computes, from its own state, the earliest future
+// instant at which OnTick could change scheduling state (DESIGN.md §9) —
+// CFS's next slice expiry, the hybrid's next FIFO time-limit crossing, or
+// "right now" when a core sits idle next to queued work. The enclave then
+// arms exactly one tick at the first grid boundary not before that
+// horizon instead of waking the policy at every boundary, and
+// re-evaluates the horizon after every message delivery (and on
+// Env.InvalidateHorizon for state changes outside message dispatch).
+// Every tick still fires on the grid an every-boundary pump would use, so
+// elision is observationally invisible.
 //
 // NextDecision may be conservative (early) — an early tick is a no-op that
 // recomputes — but must never be late: any instant at which OnTick would
-// act must be covered. A layer that retires work through Env.AbortTask
-// (no TASK_DEAD fires) must either not implement HorizonTicker (the
-// Firecracker fleet wrapper deliberately forwards only Ticker) or call
-// Env.InvalidateHorizon after every abort so the pump re-evaluates — the
-// fault-injection wrapper follows the second discipline.
-type HorizonTicker interface {
-	Ticker
+// act must be covered. A layer that changes scheduling state from its own
+// timers — aborting work through Env.AbortTask, migrating cores — must
+// call Env.InvalidateHorizon afterwards so the pump re-evaluates.
+type Ticker interface {
+	// TickEvery is the tick period; non-positive disables ticking.
+	TickEvery() time.Duration
+	OnTick()
 	// NextDecision returns the earliest instant >= now at which OnTick
 	// could act given current state, or ok=false when no tick is needed
 	// until further notice.
@@ -139,10 +159,10 @@ type Config struct {
 	MsgLatency time.Duration
 	// NoLatency forces synchronous (zero-delay) message delivery.
 	NoLatency bool
-	// ForceTickPump disables tick elision: a HorizonTicker policy is
-	// driven through the naive every-boundary pump instead. Escape hatch
-	// for the equivalence oracle (TestTickElisionOracle) and for
-	// debugging suspected horizon bugs.
+	// ForceTickPump disables tick elision: the Ticker is driven through
+	// the naive every-boundary pump instead. Test oracle for the
+	// elision's equivalence (TestTickElisionOracle) and for debugging
+	// suspected horizon bugs.
 	ForceTickPump bool
 	// Probe observes agent-tick firings for trace export. Nil (the
 	// default) disables observation at the cost of one nil check per
@@ -175,12 +195,12 @@ const DefaultMsgLatency = 2 * time.Microsecond
 // the very next sequence number anyway, so nothing can fire between it
 // and its batch.
 //
-// Agent ticks run one of two pumps. Plain Ticker policies get the naive
-// pump: one tick per period while work is outstanding. HorizonTicker
-// policies get the tick-elision pump (DESIGN.md §9): the policy's
+// Agent ticks run the tick-elision pump (DESIGN.md §9): the policy's
 // analytic next-decision horizon picks the single boundary worth waking
 // for, every other boundary is skipped, and Stats.TicksElided counts the
-// skips. Both pumps fire on the same phase grid, so the choice is
+// skips. Config.ForceTickPump selects the naive pump instead — one tick
+// per period while the kernel is Live — which survives only as the test
+// oracle. Both pumps fire on the same phase grid, so the choice is
 // observationally invisible — TestGoldenDigests and the equivalence
 // oracle pin this.
 type Enclave struct {
@@ -190,19 +210,19 @@ type Enclave struct {
 	stats   Stats
 	probe   Probe // optional tick observer (Config.Probe)
 
-	ticker      Ticker // policy, when it implements Ticker
-	tickFn      func() // persistent tick callback (no per-tick closure)
+	ticker      Ticker // found along the policy's Unwrap chain; nil without one
+	elide       bool   // ticker runs the horizon pump (not ForceTickPump)
+	tickFn      func() // persistent naive-tick callback (no per-tick closure)
 	tickPending bool
 	env         *Env
 
-	// Horizon pump state (hticker non-nil selects it over the naive pump
-	// above; see ensureTick vs hRearm). The grid anchor reproduces the
-	// naive pump's phase exactly: it is set at the dispatch that would
-	// have armed the naive pump's first tick, survives idle gaps for as
-	// long as the naive pump would keep re-arming (outstanding work at
-	// every boundary), and dies at the same boundary the naive pump's
+	// Horizon pump state (elide selects it over the naive pump above;
+	// see ensureTick vs hRearm). The grid anchor reproduces the naive
+	// pump's phase exactly: it is set at the dispatch that would have
+	// armed the naive pump's first tick, survives idle gaps for as long
+	// as the naive pump would keep re-arming (kernel Live at every
+	// boundary), and dies at the same boundary the naive pump's
 	// ensureTick would decline to re-arm.
-	hticker   HorizonTicker
 	htickFn   func() // persistent horizon-tick callback
 	pumpAlive bool
 	anchor    time.Duration // grid origin; boundaries are anchor + k·period
@@ -241,20 +261,11 @@ func NewEnclave(kernel *simkern.Kernel, policy Policy, cfg Config) (*Enclave, er
 	e := &Enclave{kernel: kernel, policy: policy, latency: latency, probe: cfg.Probe}
 	e.env = &Env{enclave: e}
 	e.flushFn = e.flush
-	if ht, ok := policy.(HorizonTicker); ok && !cfg.ForceTickPump {
-		e.hticker = ht
-		e.htickFn = e.horizonTick
-	} else if tk, ok := policy.(Ticker); ok {
+	if tk, ok := As[Ticker](policy); ok {
 		e.ticker = tk
-		e.tickFn = func() {
-			e.tickPending = false
-			e.stats.Ticks++
-			if e.probe != nil {
-				e.probe.TickFired(e.kernel.Now(), 0)
-			}
-			e.ticker.OnTick()
-			e.ensureTick()
-		}
+		e.elide = !cfg.ForceTickPump
+		e.htickFn = e.horizonTick
+		e.tickFn = e.naiveTick
 	}
 	kernel.SetHandler(e)
 	policy.Attach(e.env)
@@ -274,7 +285,7 @@ func (e *Enclave) OnTaskArrived(t *simkern.Task) {
 
 // OnTaskFinished implements simkern.Handler: emit MsgTaskDead.
 func (e *Enclave) OnTaskFinished(t *simkern.Task, c simkern.CoreID) {
-	if e.hticker != nil && e.latency > 0 {
+	if e.elide && e.latency > 0 {
 		// A completion frees its kernel core (and may drain the machine)
 		// at the emission instant, MsgLatency before the policy hears of
 		// it — and a naive tick in that window would already act on the
@@ -287,12 +298,13 @@ func (e *Enclave) OnTaskFinished(t *simkern.Task, c simkern.CoreID) {
 	e.deliver(Message{Type: MsgTaskDead, Task: t, Core: c, Sent: e.kernel.Now()})
 }
 
-// OnKernelDrained implements simkern.DrainHandler: an agent-initiated
-// abort just retired the last outstanding task without a TASK_DEAD. The
-// horizon pump's grid must get the chance to die at the same boundary the
-// naive pump's already-armed tick would find the machine empty.
+// OnKernelDrained implements simkern.DrainHandler: the kernel stopped
+// being Live without a TASK_DEAD — an agent aborted the last outstanding
+// task, or the admitter cleared its arrivals-pending flag on an empty
+// machine. The horizon pump's grid must get the chance to die at the same
+// boundary the naive pump's already-armed tick would find nothing live.
 func (e *Enclave) OnKernelDrained() {
-	if e.hticker != nil {
+	if e.elide {
 		e.hRearm()
 	}
 }
@@ -319,7 +331,7 @@ func (e *Enclave) deliver(msg Message) {
 // flush dispatches the oldest armed batch. Batches fire strictly in
 // arming order (their due times and sequence numbers both increase).
 func (e *Enclave) flush() {
-	if e.hticker != nil && e.armed && e.nextArmed == e.kernel.Now() {
+	if e.elide && e.armed && e.nextArmed == e.kernel.Now() {
 		// A boundary tick due at this exact instant fires before the
 		// flush, whatever order the two events were armed in: the naive
 		// pump arms boundary b's tick at b-period (or at the pump-start
@@ -352,16 +364,27 @@ func (e *Enclave) flush() {
 func (e *Enclave) dispatch(msg Message) {
 	e.stats.Delivered++
 	e.policy.OnMessage(msg)
-	if e.hticker != nil {
+	if e.elide {
 		e.hDispatch()
 	} else {
 		e.ensureTick()
 	}
 }
 
-// ensureTick keeps the policy's periodic tick alive while work remains.
-// Policies may return a non-positive TickEvery to opt out dynamically
-// (e.g. pure FIFO needs no agent tick).
+// naiveTick fires one naive-pump tick and re-arms the next boundary.
+func (e *Enclave) naiveTick() {
+	e.tickPending = false
+	e.stats.Ticks++
+	if e.probe != nil {
+		e.probe.TickFired(e.kernel.Now(), 0)
+	}
+	e.ticker.OnTick()
+	e.ensureTick()
+}
+
+// ensureTick keeps the naive pump's periodic tick alive while the kernel
+// is Live. Policies may return a non-positive TickEvery to opt out
+// dynamically (e.g. pure FIFO needs no agent tick).
 func (e *Enclave) ensureTick() {
 	if e.ticker == nil || e.tickPending {
 		return
@@ -369,7 +392,7 @@ func (e *Enclave) ensureTick() {
 	if e.ticker.TickEvery() <= 0 {
 		return
 	}
-	if e.kernel.Outstanding() == 0 {
+	if !e.kernel.Live() {
 		return
 	}
 	e.tickPending = true
@@ -378,12 +401,12 @@ func (e *Enclave) ensureTick() {
 
 // hDispatch is the horizon pump's post-message step: (re)start the pump
 // exactly where the naive pump would arm its first tick — a message
-// dispatch with outstanding work and no pump alive — then re-evaluate the
+// dispatch with the kernel Live and no pump alive — then re-evaluate the
 // horizon. The anchor instant fixes the tick phase grid until the pump
 // dies, just as the naive pump's first ScheduleFn does.
 func (e *Enclave) hDispatch() {
 	if !e.pumpAlive {
-		if e.kernel.Outstanding() == 0 || e.hticker.TickEvery() <= 0 {
+		if !e.kernel.Live() || e.ticker.TickEvery() <= 0 {
 			return
 		}
 		now := e.kernel.Now()
@@ -395,25 +418,25 @@ func (e *Enclave) hDispatch() {
 }
 
 // hRearm re-evaluates the decision horizon and arms (at most) one tick at
-// the first grid boundary covering it. With the machine drained it arms
-// the very next boundary instead: that is where the naive pump's
-// already-pending tick would fire, find nothing outstanding, and stop —
-// the grid must die (or survive, if work arrives first) at that exact
+// the first grid boundary covering it. With the kernel no longer Live it
+// arms the very next boundary instead: that is where the naive pump's
+// already-pending tick would fire, find nothing live, and stop — the
+// grid must die (or survive, if work arrives first) at that exact
 // boundary or a later restart would re-phase differently.
 func (e *Enclave) hRearm() {
 	if !e.pumpAlive {
 		return
 	}
-	per := e.hticker.TickEvery()
+	per := e.ticker.TickEvery()
 	if per <= 0 {
 		return
 	}
 	now := e.kernel.Now()
-	if e.kernel.Outstanding() == 0 {
+	if !e.kernel.Live() {
 		e.armAt(e.boundaryFor(now, now, per))
 		return
 	}
-	if h, ok := e.hticker.NextDecision(now); ok {
+	if h, ok := e.ticker.NextDecision(now); ok {
 		if h < now {
 			h = now
 		}
@@ -450,8 +473,8 @@ func (e *Enclave) armAt(t time.Duration) {
 
 // horizonTick fires one elision-pump tick: skip superseded armings, run
 // OnTick at the boundary, account the boundaries elided since the last
-// fired tick, and either let the grid die (machine drained — mirroring
-// the naive pump's stop) or re-arm at the next horizon.
+// fired tick, and either let the grid die (kernel no longer Live —
+// mirroring the naive pump's stop) or re-arm at the next horizon.
 func (e *Enclave) horizonTick() {
 	now := e.kernel.Now()
 	if !e.armed || now != e.nextArmed {
@@ -459,7 +482,7 @@ func (e *Enclave) horizonTick() {
 	}
 	e.armed = false
 	var elided int64
-	if per := e.hticker.TickEvery(); per > 0 && now > e.lastGrid {
+	if per := e.ticker.TickEvery(); per > 0 && now > e.lastGrid {
 		elided = int64((now-e.lastGrid)/per) - 1
 		e.stats.TicksElided += elided
 	}
@@ -468,8 +491,8 @@ func (e *Enclave) horizonTick() {
 	if e.probe != nil {
 		e.probe.TickFired(now, elided)
 	}
-	e.hticker.OnTick()
-	if e.kernel.Outstanding() == 0 {
+	e.ticker.OnTick()
+	if !e.kernel.Live() {
 		e.pumpAlive = false
 		return
 	}
@@ -538,8 +561,11 @@ func (v *Env) UtilLast(c simkern.CoreID) float64 {
 	return v.enclave.kernel.UtilLast(c)
 }
 
-// Outstanding returns the number of unfinished tasks in the kernel.
-func (v *Env) Outstanding() int { return v.enclave.kernel.Outstanding() }
+// Live reports whether the machine may still see work: unfinished tasks,
+// or arrivals the dataflow has yet to admit (simkern.Kernel.Live).
+// Policy-owned periodic timers stop when it turns false, exactly like the
+// agent tick, so every dataflow keeps them on the same phase grid.
+func (v *Env) Live() bool { return v.enclave.kernel.Live() }
 
 // AddTask registers a new task mid-run (agents in ghOSt can spawn work —
 // the Firecracker layer uses this for the threads a booted microVM forks).
@@ -567,11 +593,12 @@ func (v *Env) NoteMigration() { v.enclave.stats.Migrations++ }
 
 // InvalidateHorizon tells the enclave that scheduling state changed
 // outside a message or tick — a policy-owned timer such as the hybrid's
-// monitor or a migration unlock — so the next-decision horizon must be
-// re-evaluated. No-op under the naive tick pump, and never moves the
-// tick phase grid (policy timers do not re-phase the naive pump either).
+// monitor or a migration unlock, or a fault kill — so the next-decision
+// horizon must be re-evaluated. No-op under the naive tick pump, and
+// never moves the tick phase grid (policy timers do not re-phase the
+// naive pump either).
 func (v *Env) InvalidateHorizon() {
-	if v.enclave.hticker != nil {
+	if v.enclave.elide {
 		v.enclave.hRearm()
 	}
 }

@@ -50,6 +50,9 @@ func (p *testPolicy) TickEvery() time.Duration {
 }
 func (p *testPolicy) OnTick() { p.ticks++ }
 
+// NextDecision asks for every boundary: the plumbing tests count ticks.
+func (p *testPolicy) NextDecision(now time.Duration) (time.Duration, bool) { return now, true }
+
 func newKernel(t *testing.T, cores int) *simkern.Kernel {
 	t.Helper()
 	k, err := simkern.New(simkern.Config{Cores: cores})
@@ -155,25 +158,28 @@ func TestDefaultLatencyApplied(t *testing.T) {
 }
 
 func TestTickerLifecycle(t *testing.T) {
-	k := newKernel(t, 1)
-	p := &testPolicy{tickRate: time.Millisecond}
-	enclave, err := NewEnclave(k, p, Config{NoLatency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One 10ms task: ticks should fire roughly 10 times and then stop once
-	// the machine drains (the event loop must terminate on its own).
-	if err := k.AddTask(&simkern.Task{ID: 1, Work: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if p.ticks < 8 || p.ticks > 12 {
-		t.Errorf("ticks = %d, want ~10", p.ticks)
-	}
-	if enclave.Stats().Ticks != int64(p.ticks) {
-		t.Errorf("stats ticks %d != policy ticks %d", enclave.Stats().Ticks, p.ticks)
+	for _, force := range []bool{false, true} {
+		k := newKernel(t, 1)
+		p := &testPolicy{tickRate: time.Millisecond}
+		enclave, err := NewEnclave(k, p, Config{NoLatency: true, ForceTickPump: force})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One 10ms task: ticks should fire roughly 10 times and then stop
+		// once the machine drains (the event loop must terminate on its
+		// own), under either pump.
+		if err := k.AddTask(&simkern.Task{ID: 1, Work: 10 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if p.ticks < 8 || p.ticks > 12 {
+			t.Errorf("force=%v: ticks = %d, want ~10", force, p.ticks)
+		}
+		if enclave.Stats().Ticks != int64(p.ticks) {
+			t.Errorf("force=%v: stats ticks %d != policy ticks %d", force, enclave.Stats().Ticks, p.ticks)
+		}
 	}
 }
 
@@ -303,7 +309,7 @@ func (p *stampingPolicy) OnMessage(m Message) {
 	p.testPolicy.OnMessage(m)
 }
 
-// quantumPolicy is a minimal HorizonTicker: centralized FIFO with a
+// quantumPolicy is a minimal Ticker: centralized FIFO with a
 // preemption quantum enforced at agent ticks, whose NextDecision is the
 // earliest quantum expiry (or "now" when queued work faces an idle core).
 // It is the smallest policy whose ticks both act and predictably no-op,
@@ -468,10 +474,10 @@ func TestHorizonPumpEquivalence(t *testing.T) {
 	}
 }
 
-// TestHorizonPumpGridSurvivesIdleGap covers the §7 boundary condition: a
-// not-yet-arrived task keeps the machine "outstanding" through a fully
-// idle gap, so the naive pump ticks straight through and its phase grid
-// never re-anchors. The horizon pump must skip the whole gap yet preempt
+// TestHorizonPumpGridSurvivesIdleGap covers the §7 liveness rule: a
+// not-yet-arrived task keeps the machine Live through a fully idle gap,
+// so the naive pump ticks straight through and its phase grid never
+// re-anchors. The horizon pump must skip the whole gap yet preempt
 // the late task's overrun at the identical grid instant.
 func TestHorizonPumpGridSurvivesIdleGap(t *testing.T) {
 	mk := func() []*simkern.Task {
@@ -548,7 +554,7 @@ func TestHorizonPumpDiesAndReanchors(t *testing.T) {
 	}
 }
 
-// TestForceTickPumpDisablesElision pins the escape hatch: a HorizonTicker
+// TestForceTickPumpDisablesElision pins the test knob: a Ticker
 // policy under ForceTickPump runs the naive pump (one tick per boundary,
 // nothing elided).
 func TestForceTickPumpDisablesElision(t *testing.T) {
@@ -621,5 +627,104 @@ func TestHorizonPumpAbortDrain(t *testing.T) {
 	}
 	if elidedStats.TicksElided == 0 {
 		t.Error("horizon pump elided nothing")
+	}
+}
+
+// TestArrivalsPendingKeepsGrid covers lazy admission: the late pair is
+// admitted only after the machine drained, but the admitter's
+// arrivals-pending flag keeps the kernel Live through the gap, so both
+// pumps stay on the grid the pre-seeded run keeps and preempt at the
+// same instants. Without the flag the grid dies and re-anchors at the
+// late arrival, which the off-lattice first arrival makes visible.
+func TestArrivalsPendingKeepsGrid(t *testing.T) {
+	mk := func() []*simkern.Task {
+		return []*simkern.Task{
+			{ID: 1, Work: 2 * time.Millisecond, Arrival: 250 * time.Microsecond},
+			{ID: 2, Work: 9 * time.Millisecond, Arrival: 42 * time.Millisecond},
+			{ID: 3, Work: 9 * time.Millisecond, Arrival: 42*time.Millisecond + 100*time.Microsecond},
+		}
+	}
+	seeded, _ := runQuantum(t, 1, mk, true, nil)
+	if len(seeded.acted) == 0 {
+		t.Fatal("quantum never fired; test proves nothing")
+	}
+	lazy := func(force, pending bool) []time.Duration {
+		k := newKernel(t, 1)
+		p := &quantumPolicy{quantum: 3 * time.Millisecond}
+		if _, err := NewEnclave(k, p, Config{ForceTickPump: force}); err != nil {
+			t.Fatal(err)
+		}
+		tasks := mk()
+		k.SetArrivalsPending(pending)
+		if err := k.AddTask(tasks[0]); err != nil {
+			t.Fatal(err)
+		}
+		p.env.SetTimer(30*time.Millisecond, func() {
+			for _, task := range tasks[1:] {
+				if err := k.AdmitTask(task); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k.SetArrivalsPending(false)
+		})
+		if _, err := k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if k.Live() {
+			t.Fatalf("kernel still live after the run (outstanding %d)", k.Outstanding())
+		}
+		return p.acted
+	}
+	for _, force := range []bool{true, false} {
+		if got := lazy(force, true); !sameDurations(got, seeded.acted) {
+			t.Errorf("force=%v: lazily admitted run preempts at %v, pre-seeded at %v", force, got, seeded.acted)
+		}
+		if got := lazy(force, false); sameDurations(got, seeded.acted) {
+			t.Errorf("force=%v: without the pending flag the grid still matched; test proves nothing", force)
+		}
+	}
+}
+
+// wrapper interposes on a policy without implementing any capability of
+// its own, the way the dataflow and fault wrappers do.
+type wrapper struct{ Policy }
+
+func (w wrapper) Unwrap() Policy { return w.Policy }
+
+// TestAsWalksUnwrapChain pins the single capability lookup: As finds a
+// capability through any depth of wrappers, reports its absence, and the
+// enclave drives a wrapped policy's Ticker exactly as an unwrapped one.
+func TestAsWalksUnwrapChain(t *testing.T) {
+	p := &quantumPolicy{quantum: 3 * time.Millisecond}
+	wrapped := wrapper{wrapper{p}}
+	if got, ok := As[Ticker](wrapped); !ok || got != Ticker(p) {
+		t.Fatalf("As[Ticker] = %v, %v; want the wrapped policy", got, ok)
+	}
+	if _, ok := As[TaskEvictor](wrapped); ok {
+		t.Fatal("As[TaskEvictor] found a capability no policy in the chain has")
+	}
+	if _, ok := As[Ticker](nil); ok {
+		t.Fatal("As on a nil policy found a capability")
+	}
+	mk := func() []*simkern.Task {
+		return []*simkern.Task{{ID: 1, Work: 10 * time.Millisecond}, {ID: 2, Work: 7 * time.Millisecond}}
+	}
+	direct, directStats := runQuantum(t, 1, mk, false, nil)
+	k := newKernel(t, 1)
+	enclave, err := NewEnclave(k, wrapped, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range mk() {
+		if err := k.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !sameDurations(p.acted, direct.acted) || enclave.Stats() != directStats {
+		t.Fatalf("wrapped run preempts at %v with %+v; direct at %v with %+v",
+			p.acted, enclave.Stats(), direct.acted, directStats)
 	}
 }

@@ -52,17 +52,17 @@ type ShardUtil struct {
 // RunReport is the -run-report JSON schema shared by clustersim and
 // faasbench.
 type RunReport struct {
-	Tool        string             `json:"tool"`
-	Mode        string             `json:"mode"`
-	WallSeconds float64            `json:"wall_seconds"`
-	SimSeconds  float64            `json:"sim_seconds,omitempty"`
-	Invocations int                `json:"invocations,omitempty"`
-	Events      uint64             `json:"events,omitempty"`
-	EventsPerSec float64           `json:"events_per_sec,omitempty"`
-	PeakRSSMB   float64            `json:"peak_rss_mb"`
-	TraceEvents int64              `json:"trace_events,omitempty"`
-	PerShard    []ShardUtil        `json:"per_shard,omitempty"`
-	Counters    map[string]float64 `json:"counters"`
+	Tool         string             `json:"tool"`
+	Mode         string             `json:"mode"`
+	WallSeconds  float64            `json:"wall_seconds"`
+	SimSeconds   float64            `json:"sim_seconds,omitempty"`
+	Invocations  int                `json:"invocations,omitempty"`
+	Events       uint64             `json:"events,omitempty"`
+	EventsPerSec float64            `json:"events_per_sec,omitempty"`
+	PeakRSSMB    float64            `json:"peak_rss_mb"`
+	TraceEvents  int64              `json:"trace_events,omitempty"`
+	PerShard     []ShardUtil        `json:"per_shard,omitempty"`
+	Counters     map[string]float64 `json:"counters"`
 }
 
 // Finalize derives the rate fields and snapshots environment state:

@@ -405,7 +405,7 @@ func (e *Engine) Tick() {
 }
 
 // NextDecision computes the earliest instant at which Tick could change
-// scheduling state — the tick-elision horizon (ghost.HorizonTicker,
+// scheduling state — the tick-elision horizon (ghost.Ticker,
 // DESIGN.md §9). Per runqueue: an idle core next to any queued task acts
 // at the very next boundary (pickNext / idle balance); a runner with an
 // empty tree holds its core indefinitely; otherwise the runner's slice
@@ -475,9 +475,9 @@ type Policy struct {
 }
 
 var (
-	_ ghost.Policy        = (*Policy)(nil)
-	_ ghost.HorizonTicker = (*Policy)(nil)
-	_ ghost.TaskEvictor   = (*Policy)(nil)
+	_ ghost.Policy      = (*Policy)(nil)
+	_ ghost.Ticker      = (*Policy)(nil)
+	_ ghost.TaskEvictor = (*Policy)(nil)
 )
 
 // New returns a standalone CFS policy.
@@ -513,7 +513,7 @@ func (p *Policy) TickEvery() time.Duration { return p.params.Tick }
 // OnTick implements ghost.Ticker.
 func (p *Policy) OnTick() { p.engine.Tick() }
 
-// NextDecision implements ghost.HorizonTicker.
+// NextDecision implements ghost.Ticker.
 func (p *Policy) NextDecision(now time.Duration) (time.Duration, bool) {
 	return p.engine.NextDecision(now)
 }

@@ -167,6 +167,9 @@ func (p *enginePolicy) OnMessage(m ghost.Message) {
 }
 func (p *enginePolicy) TickEvery() time.Duration { return time.Millisecond }
 func (p *enginePolicy) OnTick()                  { p.engine.Tick() }
+func (p *enginePolicy) NextDecision(now time.Duration) (time.Duration, bool) {
+	return p.engine.NextDecision(now)
+}
 
 func TestSliceFloorsAtMinGranularity(t *testing.T) {
 	// Many runnable tasks on one core: the slice floors at MinGranularity,

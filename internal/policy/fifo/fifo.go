@@ -172,7 +172,7 @@ func (e *Engine) Tick() {
 }
 
 // NextDecision reports the earliest instant at which Tick could change
-// scheduling state — the tick-elision horizon (ghost.HorizonTicker,
+// scheduling state — the tick-elision horizon (ghost.Ticker,
 // DESIGN.md §9). Quantum enforcement is pure wall time: a runner's
 // segment expires exactly at SegmentStart + quantum, independent of host
 // interference, and SegmentStart only moves inside committed transactions,
@@ -219,10 +219,9 @@ type Policy struct {
 }
 
 var (
-	_ ghost.Policy        = (*Policy)(nil)
-	_ ghost.Ticker        = (*Policy)(nil)
-	_ ghost.HorizonTicker = (*Policy)(nil)
-	_ ghost.TaskEvictor   = (*Policy)(nil)
+	_ ghost.Policy      = (*Policy)(nil)
+	_ ghost.Ticker      = (*Policy)(nil)
+	_ ghost.TaskEvictor = (*Policy)(nil)
 )
 
 // New returns a standalone FIFO policy.
@@ -272,7 +271,7 @@ func (p *Policy) TickEvery() time.Duration {
 // OnTick implements ghost.Ticker.
 func (p *Policy) OnTick() { p.engine.Tick() }
 
-// NextDecision implements ghost.HorizonTicker: the engine's analytic
+// NextDecision implements ghost.Ticker: the engine's analytic
 // quantum-expiry horizon. Pure FIFO reports no decisions (it has no tick
 // at all — TickEvery is zero).
 func (p *Policy) NextDecision(now time.Duration) (time.Duration, bool) {

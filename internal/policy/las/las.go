@@ -47,9 +47,8 @@ type Policy struct {
 }
 
 var (
-	_ ghost.Policy        = (*Policy)(nil)
-	_ ghost.Ticker        = (*Policy)(nil)
-	_ ghost.HorizonTicker = (*Policy)(nil)
+	_ ghost.Policy = (*Policy)(nil)
+	_ ghost.Ticker = (*Policy)(nil)
 )
 
 // New returns an LAS policy.
@@ -122,14 +121,14 @@ func (p *Policy) OnTick() {
 	p.dispatch()
 }
 
-// NextDecision implements ghost.HorizonTicker. OnTick acts only when the
+// NextDecision implements ghost.Ticker. OnTick acts only when the
 // heap is non-empty and either a core sits idle (dispatch fills it now)
 // or a runner has out-attained the frozen queue head by more than the
 // quantum. A runner crosses that threshold no earlier than
 // max(now, segment start) + (head attained + quantum − consumed): attained
 // service grows at most at wall rate, so the estimate is conservative
 // under interference (early ticks no-op and re-arm, per the
-// HorizonTicker contract) but never late. The head only changes through
+// Ticker contract) but never late. The head only changes through
 // messages and commits, after which the enclave re-evaluates.
 func (p *Policy) NextDecision(now time.Duration) (time.Duration, bool) {
 	head, ok := p.h.Peek()

@@ -32,9 +32,8 @@ type Policy struct {
 }
 
 var (
-	_ ghost.Policy        = (*Policy)(nil)
-	_ ghost.Ticker        = (*Policy)(nil)
-	_ ghost.HorizonTicker = (*Policy)(nil)
+	_ ghost.Policy = (*Policy)(nil)
+	_ ghost.Ticker = (*Policy)(nil)
 )
 
 // New returns a Round-Robin policy.
@@ -76,7 +75,7 @@ func (p *Policy) TickEvery() time.Duration { return p.cfg.Tick }
 // OnTick implements ghost.Ticker.
 func (p *Policy) OnTick() { p.engine.Tick() }
 
-// NextDecision implements ghost.HorizonTicker: RR's quantum expiries are
+// NextDecision implements ghost.Ticker: RR's quantum expiries are
 // exactly the fifo.Engine's analytic horizon (its quantum is mandatory
 // here), so all-scheduler sweeps stop paying RR's every-millisecond pump.
 func (p *Policy) NextDecision(now time.Duration) (time.Duration, bool) {

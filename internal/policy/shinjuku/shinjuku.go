@@ -39,9 +39,8 @@ type Policy struct {
 }
 
 var (
-	_ ghost.Policy        = (*Policy)(nil)
-	_ ghost.Ticker        = (*Policy)(nil)
-	_ ghost.HorizonTicker = (*Policy)(nil)
+	_ ghost.Policy = (*Policy)(nil)
+	_ ghost.Ticker = (*Policy)(nil)
 )
 
 // New returns a Shinjuku-style policy.
@@ -90,7 +89,7 @@ func (p *Policy) OnTick() {
 	p.preemptOverQuantum(len(p.cores))
 }
 
-// NextDecision implements ghost.HorizonTicker. With nothing queued
+// NextDecision implements ghost.Ticker. With nothing queued
 // OnTick is a no-op; with queued work it acts as soon as a core is idle
 // (now) or a runner's segment reaches the quantum — a pure wall-time
 // horizon (segment start + quantum), exact like fifo+quantum's: segment

@@ -87,11 +87,11 @@ type Handler interface {
 }
 
 // DrainHandler is an optional Handler extension: OnKernelDrained fires
-// when the outstanding count reaches zero through a path that emits no
-// handler notification — today only AbortTask (completions already notify
-// via OnTaskFinished). The delegation layer's tick-elision pump relies on
-// it to keep its tick-grid lifecycle exact when an agent aborts the last
-// outstanding task.
+// when the kernel stops being Live through a path that emits no handler
+// notification — AbortTask of the last outstanding task, or
+// SetArrivalsPending(false) on an empty machine (completions already
+// notify via OnTaskFinished). The delegation layer's tick-elision pump
+// relies on it to keep its tick-grid lifecycle exact.
 type DrainHandler interface {
 	OnKernelDrained()
 }
@@ -128,6 +128,7 @@ type Kernel struct {
 	tasks       []*Task // nil when cfg.DiscardTasks
 	added       int
 	finished    int
+	pending     bool // arrivals not yet admitted may still come (SetArrivalsPending)
 	makespan    time.Duration
 	timers      map[TimerID]*event
 	nextTimerID TimerID
@@ -185,6 +186,37 @@ func (k *Kernel) CoreCount() int { return len(k.cores) }
 
 // Outstanding returns the number of added tasks that have not finished.
 func (k *Kernel) Outstanding() int { return k.added - k.finished }
+
+// Live reports whether the machine may still see work: tasks outstanding,
+// or arrivals pending that have not been admitted yet. It is the one
+// liveness rule for every periodic pump — agent ticks, utilization
+// sampling, policy monitors — so they keep the same phase grid whether
+// the workload was seeded up front (future arrivals count as outstanding)
+// or is admitted lazily (the admitter holds the pending flag instead).
+func (k *Kernel) Live() bool { return k.pending || k.added > k.finished }
+
+// SetArrivalsPending tells the kernel whether an admitter still holds
+// arrivals it has not admitted. Lazy-admission dataflows set it before
+// the run and clear it once their source is exhausted; runs seeded before
+// the clock starts never set it. Clearing it on an empty machine fires
+// the DrainHandler notice.
+func (k *Kernel) SetArrivalsPending(pending bool) {
+	k.pending = pending
+	if !pending {
+		k.notifyDrained()
+	}
+}
+
+// notifyDrained fires the DrainHandler notice once the kernel stopped
+// being Live.
+func (k *Kernel) notifyDrained() {
+	if k.Live() {
+		return
+	}
+	if dh, ok := k.handler.(DrainHandler); ok {
+		dh.OnKernelDrained()
+	}
+}
 
 // Tasks returns all tasks ever added, in addition order — or nil when the
 // kernel was built with DiscardTasks. Callers must not mutate kernel-owned
@@ -403,11 +435,7 @@ func (k *Kernel) AbortTask(t *Task) error {
 	}
 	t.state = StateFailed
 	k.finished++
-	if k.Outstanding() == 0 {
-		if dh, ok := k.handler.(DrainHandler); ok {
-			dh.OnKernelDrained()
-		}
-	}
+	k.notifyDrained()
 	return nil
 }
 
@@ -580,7 +608,7 @@ func (k *Kernel) sample() {
 	}
 	// Stop sampling once the machine is drained so the event loop can
 	// terminate; Run restarts it lazily if more work arrives.
-	if k.Outstanding() > 0 || k.loop.activeLen() > 0 {
+	if k.Live() || k.loop.activeLen() > 0 {
 		k.scheduleSample()
 	} else {
 		k.sampling = false

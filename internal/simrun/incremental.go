@@ -6,7 +6,10 @@
 // retirer-wrapped enclave wiring as ExecStream for that protocol: the
 // caller admits tasks, then steps the clock to each watermark with RunTo,
 // and finally Drain()s. Determinism follows from AdmitTask's pre-seeding
-// equivalence exactly as on the feeder path (DESIGN.md §7, §11).
+// equivalence exactly as on the feeder path, and the kernel's
+// arrivals-pending flag — set until Drain — keeps every periodic pump
+// alive between watermarks as pre-seeded arrivals would (DESIGN.md §7,
+// §11).
 
 package simrun
 
@@ -45,11 +48,11 @@ func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
 		return nil, err
 	}
 	pool := workload.NewTaskPool()
-	wrapped := wrapRetirer(policy, sink, func(t *simkern.Task) { pool.Put(t) })
-	enc, err := ghost.NewEnclave(k, wrapped, gcfg)
+	enc, err := ghost.NewEnclave(k, &retirer{inner: policy, sink: sink, recycle: func(t *simkern.Task) { pool.Put(t) }}, gcfg)
 	if err != nil {
 		return nil, err
 	}
+	k.SetArrivalsPending(true)
 	return &Incremental{k: k, enc: enc, pool: pool, name: policy.Name()}, nil
 }
 
@@ -70,9 +73,10 @@ func (inc *Incremental) RunTo(watermark time.Duration) error {
 	return err
 }
 
-// Drain runs the machine to quiescence and verifies nothing is left
-// outstanding.
+// Drain declares the arrival stream over, runs the machine to
+// quiescence, and verifies nothing is left outstanding.
 func (inc *Incremental) Drain() error {
+	inc.k.SetArrivalsPending(false)
 	if _, err := inc.k.Run(0); err != nil {
 		return err
 	}

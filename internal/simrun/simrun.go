@@ -12,17 +12,11 @@ import (
 	"github.com/faassched/faassched/internal/simkern"
 )
 
-// Exec builds a kernel from kcfg, attaches policy through a delegation
-// enclave, seeds work with add, and processes events until the machine
-// drains. It errors if any task is left unfinished.
-func Exec(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add func(*simkern.Kernel) error) (*simkern.Kernel, error) {
-	return ExecStats(kcfg, policy, gcfg, add, nil)
-}
-
-// ExecStats is Exec with the enclave's delegation counters snapshotted
-// into stats (when non-nil) after the run — the materialized counterpart
-// of StreamConfig.Stats, used by the fleet layers to surface ghost.Stats
-// without retaining the enclave.
+// ExecStats builds a kernel from kcfg, attaches policy through a
+// delegation enclave, seeds work with add, and processes events until the
+// machine drains. It errors if any task is left unfinished. The enclave's
+// delegation counters are snapshotted into stats (when non-nil) after the
+// run — the materialized counterpart of StreamConfig.Stats.
 func ExecStats(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add func(*simkern.Kernel) error, stats *ghost.Stats) (*simkern.Kernel, error) {
 	k, err := simkern.New(kcfg)
 	if err != nil {
@@ -47,7 +41,7 @@ func ExecStats(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add 
 	return k, nil
 }
 
-// AddTasks adapts a task list to Exec's seeding hook.
+// AddTasks adapts a task list to ExecStats's seeding hook.
 func AddTasks(tasks []*simkern.Task) func(*simkern.Kernel) error {
 	return func(k *simkern.Kernel) error {
 		for _, t := range tasks {

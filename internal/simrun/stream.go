@@ -54,7 +54,7 @@ type StreamConfig struct {
 	Stats *ghost.Stats
 }
 
-// ExecStream is Exec's streaming sibling: build a kernel (task retention
+// ExecStream is ExecStats's streaming sibling: build a kernel (task retention
 // disabled), attach policy through a delegation enclave wrapped with the
 // retirer, admit tasks from src in look-ahead windows, and run until both
 // the source and the machine drain. The returned kernel carries only
@@ -83,13 +83,13 @@ func ExecStream(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, src
 	if err != nil {
 		return nil, err
 	}
-	wrapped := wrapRetirer(policy, cfg.Sink, cfg.Recycle)
-	enc, err := ghost.NewEnclave(k, wrapped, gcfg)
+	enc, err := ghost.NewEnclave(k, &retirer{inner: policy, sink: cfg.Sink, recycle: cfg.Recycle}, gcfg)
 	if err != nil {
 		return nil, err
 	}
 	f := &feeder{k: k, next: src, window: cfg.Window}
 	f.fire = f.onTimer
+	k.SetArrivalsPending(true)
 	if err := f.seed(); err != nil {
 		return nil, err
 	}
@@ -111,7 +111,10 @@ func ExecStream(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, src
 // feeder admits tasks in chunks: at simulated time T it has admitted every
 // arrival in [0, T+2W) and armed the next chunk timer at T+W. Admission
 // timers therefore always fire strictly before the arrivals they admit,
-// which is what AdmitTask's pre-seeding equivalence requires.
+// which is what AdmitTask's pre-seeding equivalence requires. The kernel's
+// arrivals-pending flag stays set until the source is exhausted, so tick
+// and sampling pumps run through idle gaps exactly as they do when the
+// not-yet-arrived tasks are pre-seeded.
 type feeder struct {
 	k      *simkern.Kernel
 	next   TaskSource
@@ -155,7 +158,7 @@ func (f *feeder) admitUpTo(horizon time.Duration) {
 			var ok bool
 			t, ok = f.next()
 			if !ok {
-				f.done = true
+				f.finish()
 				return
 			}
 			if t == nil {
@@ -182,13 +185,20 @@ func (f *feeder) admitUpTo(horizon time.Duration) {
 
 func (f *feeder) fail(err error) {
 	f.err = err
+	f.finish()
+}
+
+// finish stops feeding: no arrival is pending any more.
+func (f *feeder) finish() {
 	f.done = true
+	f.k.SetArrivalsPending(false)
 }
 
 // retirer wraps the scheduling policy: after the policy has consumed a
 // TASK_DEAD message (and with it dropped its own references), the finished
 // task is measured into the sink and optionally recycled. Only
-// function-like work is recorded, matching metrics.Collect.
+// function-like work is recorded, matching metrics.Collect. The enclave
+// finds the wrapped policy's Ticker through Unwrap.
 type retirer struct {
 	inner   ghost.Policy
 	sink    metrics.Sink
@@ -200,6 +210,9 @@ func (r *retirer) Name() string { return r.inner.Name() }
 
 // Attach implements ghost.Policy.
 func (r *retirer) Attach(env *ghost.Env) { r.inner.Attach(env) }
+
+// Unwrap returns the wrapped policy.
+func (r *retirer) Unwrap() ghost.Policy { return r.inner }
 
 // OnMessage implements ghost.Policy.
 func (r *retirer) OnMessage(m ghost.Message) {
@@ -214,43 +227,6 @@ func (r *retirer) OnMessage(m ghost.Message) {
 	if r.recycle != nil {
 		r.recycle(t)
 	}
-}
-
-// tickingRetirer additionally forwards ghost.Ticker for policies that
-// need agent ticks (the enclave type-asserts the wrapper, not the inner
-// policy).
-type tickingRetirer struct {
-	retirer
-	ticker ghost.Ticker
-}
-
-// TickEvery implements ghost.Ticker.
-func (r *tickingRetirer) TickEvery() time.Duration { return r.ticker.TickEvery() }
-
-// OnTick implements ghost.Ticker.
-func (r *tickingRetirer) OnTick() { r.ticker.OnTick() }
-
-// horizonRetirer additionally forwards ghost.HorizonTicker, so a wrapped
-// CFS/hybrid policy keeps its tick-elision pump on the streaming path.
-type horizonRetirer struct {
-	tickingRetirer
-	horizon ghost.HorizonTicker
-}
-
-// NextDecision implements ghost.HorizonTicker.
-func (r *horizonRetirer) NextDecision(now time.Duration) (time.Duration, bool) {
-	return r.horizon.NextDecision(now)
-}
-
-func wrapRetirer(policy ghost.Policy, sink metrics.Sink, recycle func(*simkern.Task)) ghost.Policy {
-	base := retirer{inner: policy, sink: sink, recycle: recycle}
-	if ht, ok := policy.(ghost.HorizonTicker); ok {
-		return &horizonRetirer{tickingRetirer: tickingRetirer{retirer: base, ticker: ht}, horizon: ht}
-	}
-	if tk, ok := policy.(ghost.Ticker); ok {
-		return &tickingRetirer{retirer: base, ticker: tk}
-	}
-	return &base
 }
 
 // PooledTasks adapts an invocation Source to a TaskSource that draws

@@ -44,7 +44,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {
 			kcfg := simkern.DefaultConfig(4)
-			mat, err := Exec(kcfg, mk(), ghost.Config{}, AddTasks(workload.Tasks(invs)))
+			mat, err := ExecStats(kcfg, mk(), ghost.Config{}, AddTasks(workload.Tasks(invs)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

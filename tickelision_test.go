@@ -2,15 +2,19 @@ package faassched
 
 // Tick-elision equivalence oracle (DESIGN.md §9): the horizon pump must be
 // observationally identical to the naive every-boundary pump it elides.
-// ghost.Config.ForceTickPump is the escape hatch that forces the naive
+// ghost.Config.ForceTickPump is the test knob that forces the naive
 // pump, so each (seed × scheduler × machine) cell runs three ways —
 // materialized-naive (the reference), materialized-elided, and
 // streamed-elided — and all three must produce identical per-invocation
 // record streams. TestGoldenDigests separately pins the same claim against
 // the committed digests; this oracle adds randomized workloads, the
 // adaptive/rightsizing hybrid (whose monitor mutates state from policy
-// timers), and a host-interference machine (where the FIFO time-limit
-// horizon is conservative and must converge through no-op ticks).
+// timers), a host-interference machine (where the FIFO time-limit
+// horizon is conservative and must converge through no-op ticks), and
+// the two policy wrappers the enclave finds the Ticker through: the
+// Firecracker fleet (whose refused launches abort tasks inside message
+// dispatch) and the fault machine (whose crash sweeps and timeouts abort
+// tasks from fault timers).
 
 import (
 	"fmt"
@@ -18,7 +22,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/core"
+	"github.com/faassched/faassched/internal/faults"
+	"github.com/faassched/faassched/internal/firecracker"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
@@ -84,6 +91,90 @@ func oracleStreamed(t *testing.T, kcfg simkern.Config, policy ghost.Policy, invs
 	}
 	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
 	return set.Records, st
+}
+
+// oracleFirecracker runs invs one microVM per invocation under a fleet
+// with the given memory budget, on the materialized or the streamed path,
+// and returns the records in id order, the tick counters and the number
+// of refused launches.
+func oracleFirecracker(t *testing.T, policy ghost.Policy, invs []Invocation, memMB int, streamed, force bool) ([]metrics.Record, ghost.Stats, int) {
+	t.Helper()
+	fleet, err := firecracker.NewFleet(policy, firecracker.Config{ServerMemMB: memMB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kcfg, gcfg := simkern.DefaultConfig(8), ghost.Config{ForceTickPump: force}
+	var set metrics.Set
+	var st ghost.Stats
+	if streamed {
+		_, err = simrun.ExecStream(kcfg, fleet, gcfg, fleet.Stream(workload.SliceSource(invs), &set),
+			simrun.StreamConfig{Sink: &set, Stats: &st})
+	} else {
+		var k *simkern.Kernel
+		k, err = simrun.ExecStats(kcfg, fleet, gcfg, func(k *simkern.Kernel) error { return fleet.Launch(k, invs) }, &st)
+		if err == nil {
+			set = metrics.Collect(k)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
+	return set.Records, st, fleet.Failed()
+}
+
+// oracleFaulty runs invs through a 3-server fleet under a crash + timeout
+// + retry plan — flat (each server on the streamed dataflow the plan
+// forces) or lockstep-sharded — and returns the fleet result.
+func oracleFaulty(t *testing.T, mk func() ghost.Policy, invs []Invocation, sharded, force bool) *cluster.Result {
+	t.Helper()
+	cfg := cluster.Config{
+		Servers:  3,
+		Dispatch: cluster.DispatchLeastLoaded,
+		Kernel:   simkern.DefaultConfig(4),
+		Policy:   mk,
+		Ghost:    ghost.Config{ForceTickPump: force},
+		Seed:     1,
+		Faults: faults.Config{
+			Seed:      5,
+			CrashMTBF: 20 * time.Second,
+			Downtime:  4 * time.Second,
+			Timeout:   15 * time.Second,
+			Retry:     faults.RetryPolicy{MaxAttempts: 3},
+		},
+	}
+	var res *cluster.Result
+	var err error
+	if sharded {
+		cfg.Shards, cfg.Workers = 3, 2
+		res, err = cluster.SimulateShardedExact(cfg, workload.SliceSource(invs))
+	} else {
+		res, err = cluster.Simulate(cfg, invs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// oracleTicksSaved fails the cell unless the comparison is non-vacuous:
+// the naive pump ticked and elided nothing, and the elided pump skipped
+// boundaries while firing fewer ticks.
+func oracleTicksSaved(t *testing.T, naive, elided ghost.Stats) {
+	t.Helper()
+	if naive.Ticks == 0 {
+		t.Fatal("naive pump fired no ticks; oracle proves nothing")
+	}
+	if naive.TicksElided != 0 {
+		t.Fatalf("naive pump reported %d elided ticks", naive.TicksElided)
+	}
+	if elided.TicksElided == 0 {
+		t.Fatalf("elided pump skipped no boundaries (fired %d)", elided.Ticks)
+	}
+	if elided.Ticks >= naive.Ticks {
+		t.Fatalf("elided pump fired %d ticks, naive %d", elided.Ticks, naive.Ticks)
+	}
+	t.Logf("ticks fired: naive %d, elided %d (%d boundaries skipped)", naive.Ticks, elided.Ticks, elided.TicksElided)
 }
 
 func TestTickElisionOracle(t *testing.T) {
@@ -182,5 +273,59 @@ func TestTickElisionOracle(t *testing.T) {
 				})
 			}
 		}
+		// Firecracker-wrapped: the enclave reaches the scheduler's Ticker
+		// through Fleet.Unwrap. The tight budget refuses most launches, so
+		// both paths abort tasks inside message dispatch. Every run must
+		// match the materialized naive reference.
+		for _, memMB := range []int{0, oracleTightMemMB} {
+			for _, s := range schedulers {
+				t.Run(fmt.Sprintf("seed%d/firecracker-mem%d/%s", seed, memMB, s.name), func(t *testing.T) {
+					var ref []metrics.Record
+					for _, streamed := range []bool{false, true} {
+						naive, naiveStats, failed := oracleFirecracker(t, s.mk(), invs, memMB, streamed, true)
+						if (failed > 0) != (memMB == oracleTightMemMB) {
+							t.Fatalf("%d launches refused under a %d MB budget", failed, memMB)
+						}
+						if ref == nil {
+							ref = naive
+						} else if d := oracleRecordsDiff(ref, naive); d != "" {
+							t.Fatalf("streamed naive run diverges from materialized: %s", d)
+						}
+						elided, elidedStats, _ := oracleFirecracker(t, s.mk(), invs, memMB, streamed, false)
+						if d := oracleRecordsDiff(ref, elided); d != "" {
+							t.Fatalf("streamed=%v elided run diverges from naive pump: %s", streamed, d)
+						}
+						oracleTicksSaved(t, naiveStats, elidedStats)
+					}
+				})
+			}
+		}
+		// Fault-machine-wrapped: crash sweeps and timeouts abort tasks from
+		// fault timers, flat and lockstep-sharded.
+		for _, s := range schedulers {
+			if s.name != "cfs" && s.name != "hybrid" && s.name != "fifo+quantum" {
+				continue // the plan kills, which needs a ghost.TaskEvictor
+			}
+			for _, sharded := range []bool{false, true} {
+				t.Run(fmt.Sprintf("seed%d/faults-sharded=%v/%s", seed, sharded, s.name), func(t *testing.T) {
+					naive := oracleFaulty(t, s.mk, invs, sharded, true)
+					elided := oracleFaulty(t, s.mk, invs, sharded, false)
+					if naive.Faults.Kills == 0 || naive.Faults.Retries == 0 {
+						t.Fatalf("plan never killed: %+v", naive.Faults)
+					}
+					if d := oracleRecordsDiff(naive.Set.Records, elided.Set.Records); d != "" {
+						t.Fatalf("elided pump diverges from naive pump: %s", d)
+					}
+					if naive.Faults != elided.Faults {
+						t.Fatalf("fault stats %+v != naive %+v", elided.Faults, naive.Faults)
+					}
+					oracleTicksSaved(t, naive.Stats, elided.Stats)
+				})
+			}
+		}
 	}
 }
+
+// oracleTightMemMB is a microVM memory budget small enough that most of
+// the oracle workload's launches are refused.
+const oracleTightMemMB = 16 * 1024
