@@ -61,8 +61,11 @@ func (p Params) withDefaults() Params {
 
 // taskData is the per-task CFS bookkeeping kept in Task.PolicyData.
 type taskData struct {
-	vruntime     time.Duration
-	node         *queue.Node    // non-nil while queued in a tree
+	vruntime time.Duration
+	// node is the task's runqueue tree node (Value is the task), linked
+	// while the task is queued. It is allocated once with the task and
+	// reused by every requeue, so preemption churn does not allocate.
+	node         queue.Node
 	core         simkern.CoreID // runqueue the task belongs to
 	lastConsumed time.Duration  // Task CPU consumption at dispatch
 }
@@ -70,7 +73,7 @@ type taskData struct {
 func data(t *simkern.Task) *taskData {
 	d, ok := t.PolicyData.(*taskData)
 	if !ok {
-		d = &taskData{}
+		d = &taskData{node: queue.Node{Value: t}}
 		t.PolicyData = d
 	}
 	return d
@@ -91,6 +94,12 @@ func (rq *runqueue) nrRunning() int {
 		n++
 	}
 	return n
+}
+
+// enqueue links t into rq's tree under its current vruntime.
+func (rq *runqueue) enqueue(t *simkern.Task, d *taskData) {
+	d.core = rq.id
+	rq.tree.Insert(&d.node, queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)})
 }
 
 // Engine is the CFS scheduling core over a dynamic set of cores. Runqueue
@@ -188,12 +197,12 @@ func (e *Engine) RemoveCore(c simkern.CoreID) []*simkern.Task {
 		// is in flight and needs no action.
 		rq.curr = nil
 	}
-	rq.tree.InOrder(func(n *queue.Node) bool {
-		t := n.Value.(*simkern.Task)
-		data(t).node = nil
-		out = append(out, t)
-		return true
-	})
+	// Unlink every queued node, in vruntime order, so the returned tasks
+	// can be enqueued into another tree.
+	for n := rq.tree.Min(); n != nil; n = rq.tree.Min() {
+		rq.tree.Delete(n)
+		out = append(out, n.Value.(*simkern.Task))
+	}
 	e.byCore[c] = nil
 	for i, other := range e.list {
 		if other == rq {
@@ -235,8 +244,7 @@ func (e *Engine) EnqueueOn(c simkern.CoreID, t *simkern.Task) {
 	if d.vruntime < rq.minV {
 		d.vruntime = rq.minV
 	}
-	d.core = c
-	d.node = rq.tree.Insert(queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}, t)
+	rq.enqueue(t, d)
 	if rq.curr == nil {
 		e.pickNext(rq)
 		return
@@ -258,7 +266,7 @@ func (e *Engine) maybeWakeupPreempt(rq *runqueue, newcomer *taskData) {
 		return
 	}
 	e.chargeRuntime(got)
-	e.requeue(rq, got)
+	rq.enqueue(got, data(got))
 	rq.curr = nil
 	e.pickNext(rq)
 }
@@ -271,13 +279,6 @@ func (e *Engine) chargeRuntime(t *simkern.Task) {
 	d.lastConsumed = t.CPUConsumed()
 }
 
-// requeue inserts a preempted task back into rq's tree.
-func (e *Engine) requeue(rq *runqueue, t *simkern.Task) {
-	d := data(t)
-	d.core = rq.id
-	d.node = rq.tree.Insert(queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}, t)
-}
-
 // pickNext dispatches the leftmost task on rq, stealing from the busiest
 // runqueue when rq is empty (idle balance).
 func (e *Engine) pickNext(rq *runqueue) {
@@ -288,10 +289,9 @@ func (e *Engine) pickNext(rq *runqueue) {
 	t := node.Value.(*simkern.Task)
 	d := data(t)
 	rq.tree.Delete(node)
-	d.node = nil
 	if err := e.env.CommitRun(rq.id, t); err != nil {
 		// Kernel-side race (should not happen in-sim); requeue and bail.
-		e.requeue(rq, t)
+		rq.enqueue(t, d)
 		return
 	}
 	rq.curr = t
@@ -326,8 +326,7 @@ func (e *Engine) stealInto(rq *runqueue) bool {
 	if d.vruntime < 0 {
 		d.vruntime = 0
 	}
-	d.core = rq.id
-	d.node = rq.tree.Insert(queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}, t)
+	rq.enqueue(t, d)
 	return true
 }
 
@@ -346,9 +345,8 @@ func (e *Engine) Evict(t *simkern.Task) bool {
 	if rq == nil {
 		return false
 	}
-	if d.node != nil {
-		rq.tree.Delete(d.node)
-		d.node = nil
+	if d.node.Linked() {
+		rq.tree.Delete(&d.node)
 		return true
 	}
 	if rq.curr == t {
@@ -389,8 +387,7 @@ func (e *Engine) Tick() {
 		if rq.tree.Len() == 0 {
 			continue // sole runnable task keeps the core
 		}
-		slice := e.slice(rq)
-		if now-rq.sliceStart < slice {
+		if now-rq.sliceStart < e.params.slice(rq.nrRunning()) {
 			continue
 		}
 		got, err := e.env.CommitPreempt(c)
@@ -398,7 +395,7 @@ func (e *Engine) Tick() {
 			continue // completion in flight
 		}
 		e.chargeRuntime(got)
-		e.requeue(rq, got)
+		rq.enqueue(got, data(got))
 		rq.curr = nil
 		e.pickNext(rq)
 	}
@@ -409,7 +406,7 @@ func (e *Engine) Tick() {
 // DESIGN.md §9). Per runqueue: an idle core next to any queued task acts
 // at the very next boundary (pickNext / idle balance); a runner with an
 // empty tree holds its core indefinitely; otherwise the runner's slice
-// expires at sliceStart + slice(rq), exact in wall time regardless of
+// expires at sliceStart + slice, exact in wall time regardless of
 // interference. Engine state only changes inside message handling, ticks,
 // or the hybrid's monitor callbacks — all of which re-evaluate the
 // horizon — so the minimum below stays valid until the next re-evaluation.
@@ -436,7 +433,7 @@ func (e *Engine) NextDecision(now time.Duration) (time.Duration, bool) {
 		if rq.tree.Len() == 0 {
 			continue // sole runnable task keeps the core
 		}
-		h := rq.sliceStart + e.slice(rq)
+		h := rq.sliceStart + e.params.slice(rq.nrRunning())
 		if h < now {
 			h = now
 		}
@@ -447,17 +444,21 @@ func (e *Engine) NextDecision(now time.Duration) (time.Duration, bool) {
 	return best, found
 }
 
-// slice returns the current time slice for rq's runner.
-func (e *Engine) slice(rq *runqueue) time.Duration {
-	n := rq.nrRunning()
+// slice returns the time slice of a runner sharing its core with n-1
+// queued tasks: max(SchedLatency/n, MinGranularity). Tick and
+// NextDecision ask for it on every core at every decision, and under
+// overload n·MinGranularity ≥ SchedLatency always holds, so that case
+// returns the floor without the 64-bit division. Otherwise
+// MinGranularity < SchedLatency/n exactly, so the truncated quotient is
+// already at least MinGranularity and needs no clamp.
+func (p Params) slice(n int) time.Duration {
 	if n < 1 {
 		n = 1
 	}
-	s := e.params.SchedLatency / time.Duration(n)
-	if s < e.params.MinGranularity {
-		s = e.params.MinGranularity
+	if time.Duration(n)*p.MinGranularity >= p.SchedLatency {
+		return p.MinGranularity
 	}
-	return s
+	return p.SchedLatency / time.Duration(n)
 }
 
 // Vruntime exposes a task's current vruntime (tests and debugging).

@@ -186,3 +186,108 @@ func TestSliceFloorsAtMinGranularity(t *testing.T) {
 		}
 	}
 }
+
+func TestSliceFastPathExact(t *testing.T) {
+	// The slice rule skips the SchedLatency/n division once
+	// n·MinGranularity reaches SchedLatency; it must still equal the
+	// plain max(SchedLatency/n, MinGranularity) for every n, including
+	// latencies that are not a multiple of the granularity.
+	for _, p := range []cfs.Params{
+		{},
+		{SchedLatency: 10 * time.Millisecond, MinGranularity: 3 * time.Millisecond},
+		{SchedLatency: 7 * time.Millisecond, MinGranularity: 7 * time.Millisecond},
+	} {
+		lat, gran := p.SchedLatency, p.MinGranularity
+		if lat == 0 {
+			lat, gran = cfs.DefaultSchedLatency, cfs.DefaultMinGranularity
+		}
+		for n := 0; n <= 64; n++ {
+			want := lat / time.Duration(max(n, 1))
+			want = max(want, gran)
+			if got := p.Slice(n); got != want {
+				t.Errorf("latency %v gran %v: slice(%d) = %v, want %v", lat, gran, n, got, want)
+			}
+		}
+	}
+}
+
+func TestRemoveCoreUnlinksAndReenqueues(t *testing.T) {
+	// The hybrid's adaptive core split drains a CFS core with RemoveCore
+	// and spreads its tasks over the remaining cores with EnqueueOn. The
+	// drained tasks' tree nodes are reused by that re-enqueue, so
+	// RemoveCore must hand them back unlinked, and every tree must stay
+	// valid afterwards. The core is then re-added and refilled, as the
+	// reverse migration does.
+	k, err := simkern.New(simkern.Config{Cores: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eng *cfs.Engine
+	probe := &enginePolicy{build: func(env *ghost.Env) *cfs.Engine {
+		eng = cfs.NewEngine(env, []simkern.CoreID{0, 1, 2}, cfs.Params{})
+		return eng
+	}}
+	if _, err := ghost.NewEnclave(k, probe, ghost.Config{NoLatency: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := k.AddTask(&simkern.Task{ID: simkern.TaskID(i + 1), Work: 60 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var drained []*simkern.Task
+	k.SetTimer(20*time.Millisecond, func() {
+		drained = eng.RemoveCore(2)
+		for i, task := range drained {
+			if cfs.Queued(task) {
+				t.Errorf("task %d still linked after RemoveCore", task.ID)
+			}
+			eng.EnqueueOn(simkern.CoreID(i%2), task)
+		}
+		eng.CheckRunqueues()
+		if got := eng.NrRunning(0) + eng.NrRunning(1); got != 30 {
+			t.Errorf("runnable after redistribution = %d, want 30", got)
+		}
+	})
+	k.SetTimer(40*time.Millisecond, func() {
+		eng.AddCore(2)
+		eng.Tick() // the empty queue pulls work immediately
+		eng.CheckRunqueues()
+	})
+	if _, err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(drained) < 2 {
+		t.Fatalf("RemoveCore drained %d tasks, want the runner and queued work", len(drained))
+	}
+	eng.CheckRunqueues()
+	policytest.AssertAllFinished(t, k)
+	if busy := k.CoreBusy(2); busy < 50*time.Millisecond {
+		t.Errorf("re-added core 2 busy only %v, want it refilled by idle balance", busy)
+	}
+}
+
+func TestPreemptionChurnDoesNotAllocate(t *testing.T) {
+	// Each task owns one runqueue node for its lifetime, so a run's
+	// allocations scale with its tasks, not with its preemptions. The two
+	// runs below have the same tasks; the long one preempts ~100x more.
+	const tasks = 8
+	run := func(work time.Duration) (allocs float64, preemptions int) {
+		allocs = testing.AllocsPerRun(1, func() {
+			k := policytest.Run(t, 1, cfs.New(cfs.Params{}), policytest.Uniform(tasks, 0, work))
+			preemptions = policytest.TotalPreemptions(k)
+		})
+		return allocs, preemptions
+	}
+	shortAllocs, shortPre := run(10 * time.Millisecond)
+	longAllocs, longPre := run(time.Second)
+	t.Logf("short: %v allocs, %d preemptions; long: %v allocs, %d preemptions",
+		shortAllocs, shortPre, longAllocs, longPre)
+	if longPre-shortPre < 100*tasks {
+		t.Fatalf("long run preempted %d times vs %d, want far more than %d tasks", longPre, shortPre, tasks)
+	}
+	if extra := longAllocs - shortAllocs; extra > tasks {
+		t.Errorf("%d extra preemptions cost %v extra allocs, want at most %d (O(tasks))",
+			longPre-shortPre, extra, tasks)
+	}
+}

@@ -24,41 +24,41 @@ const (
 	black color = true
 )
 
-// Node is a red-black tree node. Nodes are owned by the tree; callers keep
-// the pointer returned by Insert to Delete in O(log n) without a lookup.
+// Node is an intrusive red-black tree node: the caller owns it, usually
+// embedded in its per-item bookkeeping, and links it into a tree with
+// Insert and out again with Delete. A node is reused across any number of
+// Insert/Delete cycles, so a queue whose items come and go allocates
+// nothing per requeue (Linux's sched_entity.run_node).
 type Node struct {
 	Key   Key
 	Value any
 
 	parent, left, right *Node
 	color               color
+	linked              bool
 }
 
-// RBTree is a left-leaning-free classic red-black tree keyed by Key.
+// Linked reports whether the node is currently in a tree.
+func (n *Node) Linked() bool { return n.linked }
+
+// RBTree is a classic red-black tree of caller-owned Nodes keyed by Key,
+// with the leftmost node cached (Linux's rb_root_cached).
 // The zero value is an empty tree ready to use.
 //
 // It backs the per-core CFS runqueues: Min() is the leftmost node (next
-// task to run), Insert places a woken/preempted task by vruntime, and
-// Delete removes a task picked to run or migrated away.
+// task to run) in O(1), Insert places a woken/preempted task by vruntime,
+// and Delete removes a task picked to run or migrated away.
 type RBTree struct {
-	root *Node
-	n    int
+	root     *Node
+	leftmost *Node
+	n        int
 }
 
 // Len returns the number of nodes.
 func (t *RBTree) Len() int { return t.n }
 
 // Min returns the leftmost (smallest-key) node, or nil when empty.
-func (t *RBTree) Min() *Node {
-	if t.root == nil {
-		return nil
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return n
-}
+func (t *RBTree) Min() *Node { return t.leftmost }
 
 // Max returns the rightmost (largest-key) node, or nil when empty.
 func (t *RBTree) Max() *Node {
@@ -72,14 +72,17 @@ func (t *RBTree) Max() *Node {
 	return n
 }
 
-// Insert adds a node with the given key and value and returns it.
-// Duplicate keys are a programmer error (IDs are unique by construction);
-// Insert panics if one is encountered, because a silent duplicate would
-// corrupt scheduling order.
-func (t *RBTree) Insert(key Key, value any) *Node {
-	node := &Node{Key: key, Value: value, color: red}
+// Insert links node into the tree under key. The node must not be linked
+// (into this or any other tree), and keys must be unique (IDs are unique
+// by construction); Insert panics on either, because a silent duplicate
+// or a doubly linked node would corrupt scheduling order.
+func (t *RBTree) Insert(node *Node, key Key) {
+	if node.linked {
+		panic("queue: Insert of a node that is still linked")
+	}
 	var parent *Node
 	cur := t.root
+	leftmost := true
 	for cur != nil {
 		parent = cur
 		switch {
@@ -87,11 +90,14 @@ func (t *RBTree) Insert(key Key, value any) *Node {
 			cur = cur.left
 		case cur.Key.Less(key):
 			cur = cur.right
+			leftmost = false
 		default:
 			panic("queue: duplicate key inserted into RBTree")
 		}
 	}
-	node.parent = parent
+	// An unlinked node's child links are already nil (zero value, or
+	// cleared by Delete).
+	node.Key, node.parent, node.color, node.linked = key, parent, red, true
 	switch {
 	case parent == nil:
 		t.root = node
@@ -100,14 +106,22 @@ func (t *RBTree) Insert(key Key, value any) *Node {
 	default:
 		parent.right = node
 	}
+	if leftmost {
+		t.leftmost = node
+	}
 	t.n++
 	t.insertFixup(node)
-	return node
 }
 
-// Delete removes node from the tree. The node must currently be in the
-// tree (it is the caller's pointer from Insert).
+// Delete unlinks node from the tree. The node must currently be linked
+// into this tree; Delete panics on an unlinked node.
 func (t *RBTree) Delete(node *Node) {
+	if !node.linked {
+		panic("queue: Delete of an unlinked node")
+	}
+	if node == t.leftmost {
+		t.leftmost = next(node)
+	}
 	t.n--
 	var fixAt *Node
 	var fixParent *Node
@@ -148,26 +162,34 @@ func (t *RBTree) Delete(node *Node) {
 		t.deleteFixup(fixAt, fixParent)
 	}
 	node.parent, node.left, node.right = nil, nil, nil
+	node.linked = false
 }
 
 // InOrder calls fn for each node in ascending key order; returning false
-// stops the walk. It is used by load balancing (walk the busiest queue)
-// and by tests.
+// stops the walk. fn must not modify the tree. The walk follows parent
+// links, so it allocates nothing.
 func (t *RBTree) InOrder(fn func(*Node) bool) {
-	var walk func(*Node) bool
-	walk = func(n *Node) bool {
-		if n == nil {
-			return true
-		}
-		if !walk(n.left) {
-			return false
-		}
+	for n := t.leftmost; n != nil; n = next(n) {
 		if !fn(n) {
-			return false
+			return
 		}
-		return walk(n.right)
 	}
-	walk(t.root)
+}
+
+// next returns n's in-order successor, nil when n is the rightmost node.
+func next(n *Node) *Node {
+	if n.right != nil {
+		n = n.right
+		for n.left != nil {
+			n = n.left
+		}
+		return n
+	}
+	p := n.parent
+	for p != nil && n == p.right {
+		n, p = p, p.parent
+	}
+	return p
 }
 
 func (t *RBTree) transplant(u, v *Node) {
@@ -349,16 +371,32 @@ func (t *RBTree) deleteFixup(x *Node, parent *Node) {
 	}
 }
 
-// checkInvariants validates red-black properties; exported to tests via
-// export_test.go. It returns the black-height and panics on violation.
-func (t *RBTree) checkInvariants() int {
+// CheckInvariants validates red-black properties, parent links, the
+// cached leftmost and the node count. It returns the black-height and
+// panics on violation; it is O(n) and meant for tests and debugging.
+func (t *RBTree) CheckInvariants() int {
 	if nodeColor(t.root) != black {
 		panic("rbtree: root is not black")
 	}
+	if t.root != nil && t.root.parent != nil {
+		panic("rbtree: root has a parent")
+	}
+	var walkedMin *Node
+	count := 0
 	var check func(n *Node) int
 	check = func(n *Node) int {
 		if n == nil {
 			return 1
+		}
+		count++
+		if !n.linked {
+			panic("rbtree: node in tree not marked linked")
+		}
+		if walkedMin == nil || n.Key.Less(walkedMin.Key) {
+			walkedMin = n
+		}
+		if (n.left != nil && n.left.parent != n) || (n.right != nil && n.right.parent != n) {
+			panic("rbtree: child's parent link broken")
 		}
 		if nodeColor(n) == red {
 			if nodeColor(n.left) == red || nodeColor(n.right) == red {
@@ -381,5 +419,12 @@ func (t *RBTree) checkInvariants() int {
 		}
 		return lh
 	}
-	return check(t.root)
+	bh := check(t.root)
+	if t.leftmost != walkedMin {
+		panic("rbtree: cached leftmost is not the minimum")
+	}
+	if t.n != count {
+		panic("rbtree: Len does not match the node count")
+	}
+	return bh
 }

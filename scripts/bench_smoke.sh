@@ -29,6 +29,13 @@
 # BenchmarkDispatchPick row reports allocs/op == 0, pinning the
 # observability seams' inertness guarantee at the allocation level.
 #
+# Gate 4 — preemption churn allocates nothing (DESIGN.md §6): the CFS
+# runqueues link one reused tree node per task, so a CFS or hybrid run
+# allocates about what FIFO does on the same workload, however often it
+# preempts. Fails if BenchmarkFacadeSimulate/cfs or /hybrid reports more
+# than 2x the allocs/op of /fifo. Allocation counts are deterministic,
+# so the gate does not flap; a per-requeue allocation shows up as >10x.
+#
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
 set -e
@@ -50,6 +57,31 @@ printf '%s\n' "$out" | awk -v ceiling="$CEILING" '
       exit 1
     }
     printf "bench_smoke: events/run %s within ceiling %s\n", v, ceiling
+  }'
+
+facade=$(go test -run '^$' -bench 'BenchmarkFacadeSimulate' -benchtime 5x .)
+printf '%s\n' "$facade"
+
+printf '%s\n' "$facade" | awk '
+  /^BenchmarkFacadeSimulate\// {
+    name = $1
+    sub(/^BenchmarkFacadeSimulate\//, "", name)
+    sub(/-[0-9]+$/, "", name)
+    for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs[name] = $i
+  }
+  END {
+    if (!("fifo" in allocs) || !("cfs" in allocs) || !("hybrid" in allocs)) {
+      print "bench_smoke: BenchmarkFacadeSimulate rows missing fifo/cfs/hybrid allocs/op"
+      exit 1
+    }
+    split("cfs hybrid", scheds, " ")
+    for (j = 1; j <= 2; j++) {
+      s = scheds[j]
+      ratio = allocs[s] / allocs["fifo"]
+      printf "bench_smoke: FacadeSimulate/%s allocs/op %s = %.2fx fifo (max 2x)\n", s, allocs[s], ratio
+      if (ratio > 2) bad = 1
+    }
+    if (bad) { print "bench_smoke: CFS preemption churn allocates — per-requeue allocation?"; exit 1 }
   }'
 
 if [ ! -f BENCH_baseline.json ]; then
