@@ -562,7 +562,7 @@ func BenchmarkDispatchPick(b *testing.B) {
 					}
 					s := disp.Pick(inv, candidates)
 					if !cfg.Enabled() {
-						model.Assign(s, inv)
+						model.AssignDemand(s, inv.Arrival, inv.Duration)
 						continue
 					}
 					var cold time.Duration

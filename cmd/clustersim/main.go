@@ -56,8 +56,8 @@ func run(args []string, stdout io.Writer) error {
 		compare   = fs.Bool("compare", false, "sweep every dispatch policy instead of running one")
 		file      = fs.String("workload", "", "replay a workload file instead of synthesizing")
 		csvPath   = fs.String("csv", "", "also write the result table as CSV to this path")
-		shards    = fs.Int("shards", 0, "partition the fleet into this many shard work units (0 = 4× workers)")
-		workers   = fs.Int("workers", 0, "bound the fleet execution worker pool (0 = GOMAXPROCS)")
+		shards    = fs.Int("shards", 0, "partition the fleet into this many lockstep shards (0 = 4× workers)")
+		workers   = fs.Int("workers", 0, "set the default shard count to 4× this (0 = GOMAXPROCS)")
 
 		shardMode   = fs.Bool("sharded", false, "run the sharded windowed replay (lockstep routing, O(shards×windows) memory) instead of the exact fixed fleet")
 		shardWindow = fs.Duration("shard-window", time.Hour, "sharded replay: per-window metrics width")

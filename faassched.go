@@ -603,20 +603,14 @@ type ClusterOptions struct {
 	FIFOCores int
 	// TimeLimit overrides the hybrid's static preemption limit.
 	TimeLimit time.Duration
-	// Streamed drives every server through the lazy-admission streaming
-	// dataflow with a per-server sink and task pool. Results are
-	// bit-for-bit identical to the materialized path; per-server peak
-	// memory drops to active tasks + look-ahead window.
-	Streamed bool
 	// ColdStart configures the per-function warm-instance model. The zero
 	// value disables it and reproduces the pre-model results exactly.
 	ColdStart ColdStartOptions
-	// Shards partitions the fleet into contiguous server ranges executed
-	// as work units by the bounded worker pool (DESIGN.md §11). Zero
-	// means 4× the worker count. Results are bit-for-bit identical at any
-	// setting.
+	// Shards partitions the fleet into contiguous server ranges, each
+	// owned by one lockstep shard worker (DESIGN.md §11). Zero means 4×
+	// Workers. Results are bit-for-bit identical at any setting.
 	Shards int
-	// Workers bounds the fleet execution worker pool. Zero means
+	// Workers only sets the default shard count (4×Workers). Zero means
 	// GOMAXPROCS.
 	Workers int
 	// MetricsWindow is the sharded replay's per-window accumulator width
@@ -627,8 +621,7 @@ type ClusterOptions struct {
 	// alters simulated behavior (DESIGN.md §13).
 	Obs *obs.Obs
 	// Faults is the deterministic fault plan (crashes, stragglers,
-	// timeouts, retries; DESIGN.md §14). A non-zero plan forces the
-	// streaming dataflow. The zero value changes nothing.
+	// timeouts, retries; DESIGN.md §14). The zero value changes nothing.
 	Faults FaultOptions
 }
 
@@ -666,9 +659,9 @@ func (r *ClusterResult) Summary() string {
 }
 
 // SimulateCluster routes invs across a fleet and simulates the servers
-// on a bounded worker pool over contiguous shards (Shards/Workers;
-// results are deterministic for given inputs regardless of worker count
-// or interleaving).
+// in lockstep over contiguous shards (Shards/Workers; results are
+// deterministic for given inputs regardless of shard count or
+// interleaving).
 func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, error) {
 	if opts.Servers == 0 {
 		opts.Servers = 4
@@ -705,7 +698,6 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 		Servers:   opts.Servers,
 		Dispatch:  opts.Dispatch,
 		Seed:      opts.Seed,
-		Streamed:  opts.Streamed,
 		ColdStart: opts.ColdStart,
 		Shards:    opts.Shards,
 		Workers:   opts.Workers,
@@ -1098,8 +1090,8 @@ func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, err
 // sinks, packaged as a ClusterResult (merged record set, per-server
 // breakdown, full assignment). Memory is O(invocations) — it exists for
 // validation: pinned to MinServers == MaxServers == N it reproduces
-// SimulateCluster's Streamed results bit for bit (the golden digests pin
-// this per dispatch policy).
+// SimulateCluster bit for bit (the golden digests pin this per dispatch
+// policy).
 func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult, error) {
 	opts, cfg, err := autoscaleConfig(opts)
 	if err != nil {

@@ -3,8 +3,8 @@ package faassched
 // Fault-injection determinism and inertness (DESIGN.md §14). Two claims
 // carry the feature: (1) the fault seam is inert — threading it with
 // every rate zero (Instrument) reproduces the fault-free byte stream —
-// and (2) a non-empty plan is deterministic ACROSS dataflows: the flat
-// streamed fleet and the sharded replay at any shard count derive the
+// and (2) a non-empty plan is deterministic ACROSS shard counts: the
+// lockstep fleet and the sharded replay at any shard count derive the
 // identical crash/straggler/retry timeline, because every hazard draw is
 // a pure function of (fault seed, server index) and crash sweeps enter
 // the kernel under the dedicated fault ordering class.
@@ -27,8 +27,8 @@ func crashPlan() FaultOptions {
 	}
 }
 
-// TestFaultsDisabledIsInert: Instrument threads machines, routing hooks,
-// and the streamed dataflow with every rate zero; the record stream must
+// TestFaultsDisabledIsInert: Instrument threads machines and routing
+// hooks with every rate zero; the record stream must
 // be bit-identical to the plain fault-free run and all fault counters
 // zero.
 func TestFaultsDisabledIsInert(t *testing.T) {
@@ -37,7 +37,7 @@ func TestFaultsDisabledIsInert(t *testing.T) {
 	for _, sched := range []Scheduler{SchedulerHybrid, SchedulerCFS} {
 		base := ClusterOptions{
 			Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded,
-			Scheduler: sched, Seed: 1, Streamed: true,
+			Scheduler: sched, Seed: 1,
 		}
 		plain, err := SimulateCluster(base, invs)
 		if err != nil {
@@ -97,6 +97,35 @@ func TestFaultDeterminismAcrossShards(t *testing.T) {
 			}
 		}
 		opts.Shards, opts.Workers = 0, 0
+	}
+}
+
+// TestPerServerFaultStatsSumToFleet: under the crash plan, at shard
+// counts 1, 3 and 7, each server's machine counters must add up to the
+// fleet's Kills, Retries and GiveUps — and each counter must fire on some
+// server, or the sum proves nothing.
+func TestPerServerFaultStatsSumToFleet(t *testing.T) {
+	t.Parallel()
+	invs := goldenWorkload(t)
+	for _, shards := range []int{1, 3, 7} {
+		res, err := SimulateCluster(ClusterOptions{
+			Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded,
+			Scheduler: SchedulerHybrid, Seed: 1, Faults: crashPlan(), Shards: shards, Workers: 2,
+		}, invs)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		var sum FaultStats
+		for _, sr := range res.PerServer {
+			sum.Accumulate(sr.Faults)
+		}
+		if sum.Kills != res.Faults.Kills || sum.Retries != res.Faults.Retries || sum.GiveUps != res.Faults.GiveUps {
+			t.Errorf("shards=%d: per-server kills/retries/give-ups %d/%d/%d, fleet %d/%d/%d", shards,
+				sum.Kills, sum.Retries, sum.GiveUps, res.Faults.Kills, res.Faults.Retries, res.Faults.GiveUps)
+		}
+		if sum.Kills == 0 || sum.Retries == 0 || sum.GiveUps == 0 {
+			t.Errorf("shards=%d: a per-server counter never fired: %+v", shards, sum)
+		}
 	}
 }
 
@@ -251,7 +280,7 @@ func TestAutoscaleRejectsStragglers(t *testing.T) {
 	}
 }
 
-// BenchmarkFaultyReplay drives the streamed fleet under the full
+// BenchmarkFaultyReplay drives the fixed fleet under the full
 // crash+timeout+retry plan — the bench_smoke.sh regression row for the
 // fault layer's hot paths (fault timers, sweep kills, re-admission).
 func BenchmarkFaultyReplay(b *testing.B) {

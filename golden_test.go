@@ -5,10 +5,12 @@ package faassched
 // hashed. The committed digests in testdata/golden_digests.json pin the
 // simulator's observable behavior bit-for-bit — a refactor of the event
 // core must not change a single one, because events must keep firing in
-// exactly the same (time, class, seq) order. Every scheduler and fleet
-// dispatch runs through BOTH dataflows — materialized (pre-seeded tasks,
+// exactly the same (time, class, seq) order. Every single-machine
+// scheduler runs through BOTH dataflows — materialized (pre-seeded tasks,
 // end-of-run Collect) and streamed (lazy admission, completion sinks,
 // task recycling) — and both must hash to the same committed digest.
+// Fleets run on the lockstep engine, and a pinned autoscaler must hash to
+// the same fleet digests.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //
@@ -132,13 +134,15 @@ func computeDigests(t *testing.T) map[string]string {
 	return out
 }
 
-// computeStreamedDigests reruns the golden matrix through the streaming
-// dataflow — lazy arrival admission, completion-sink retirement, task
-// recycling — under the SAME keys as computeDigests. The streaming
-// refactor's core claim is that both dataflows are observationally
-// identical, so every streamed digest must match the committed
-// materialized digest bit for bit. (The Firecracker entry has no streamed
-// analog: microVM launches need the materialized workload.)
+// computeStreamedDigests reruns the single-machine half of the golden
+// matrix through the streaming dataflow — lazy arrival admission,
+// completion-sink retirement, task recycling — under the SAME keys as
+// computeDigests. The streaming refactor's core claim is that both
+// dataflows are observationally identical, so every streamed digest must
+// match the committed materialized digest bit for bit. (Fleets have one
+// dataflow, the lockstep run, so they have no streamed twin; the
+// Firecracker entry has none either: microVM launches need the
+// materialized workload.)
 func computeStreamedDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
@@ -152,29 +156,13 @@ func computeStreamedDigests(t *testing.T) map[string]string {
 		}
 		out["sim/"+string(sched)] = digestResult(res)
 	}
-	for _, d := range Dispatches() {
-		cres, err := SimulateCluster(ClusterOptions{
-			Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid, Seed: 1, Streamed: true, Obs: o,
-		}, invs)
-		if err != nil {
-			t.Fatalf("streamed cluster %s: %v", d, err)
-		}
-		out["cluster/hybrid/"+string(d)] = digestCluster(cres)
-	}
-	cres, err := SimulateCluster(ClusterOptions{
-		Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS, Seed: 1, Streamed: true, Obs: o,
-	}, invs)
-	if err != nil {
-		t.Fatalf("streamed cluster cfs: %v", err)
-	}
-	out["cluster/cfs/least-loaded"] = digestCluster(cres)
 	return out
 }
 
 // computeAutoscaledDigests reruns the fleet half of the golden matrix
 // through the elastic autoscaler pinned to MinServers == MaxServers — no
 // scaling decision can fire, so the streaming dispatcher must route,
-// simulate, and merge exactly like the fixed streamed fleet. The digests
+// simulate, and merge exactly like the fixed fleet. The digests
 // are compared against the SAME committed cluster keys: the autoscaler
 // earns no digests of its own, it must reproduce the existing ones.
 func computeAutoscaledDigests(t *testing.T) map[string]string {
@@ -206,8 +194,7 @@ func computeAutoscaledDigests(t *testing.T) map[string]string {
 
 // computeInstrumentedDigests reruns the fleet half of the golden matrix
 // with the fault seam threaded but every fault rate zero (Instrument:
-// true — machines constructed, routing hooks installed, the streamed
-// dataflow forced). The digests are compared against the SAME committed
+// true — machines constructed, routing hooks installed). The digests are compared against the SAME committed
 // cluster keys: the fault layer must be byte-for-byte inert when its
 // plan is empty (DESIGN.md §14).
 func computeInstrumentedDigests(t *testing.T) map[string]string {
@@ -242,9 +229,8 @@ func TestGoldenDigests(t *testing.T) {
 	got := computeDigests(t)
 
 	// The streamed dataflow must reproduce the materialized digests for
-	// every scheduler and every fleet dispatch — this is the proof that
-	// lazy admission + sink retirement + task recycling are
-	// observationally invisible.
+	// every scheduler — this is the proof that lazy admission + sink
+	// retirement + task recycling are observationally invisible.
 	streamed := computeStreamedDigests(t)
 	for k, v := range streamed {
 		if got[k] != v {
@@ -252,8 +238,8 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
-	// A pinned (min=max) autoscaler must reproduce the fixed streamed
-	// fleet bit for bit — the determinism bar for the elastic dispatcher.
+	// A pinned (min=max) autoscaler must reproduce the fixed fleet bit
+	// for bit — the determinism bar for the elastic dispatcher.
 	autoscaled := computeAutoscaledDigests(t)
 	for k, v := range autoscaled {
 		if got[k] != v {

@@ -14,11 +14,12 @@
 // model (cluster.FleetModel), never on simulated server state, so they
 // are identical regardless of how the per-server goroutines interleave.
 // Scale events follow a fixed per-arrival ordering (activations due, then
-// routing, then scale-up, then scale-down), and every per-server
-// simulation is cluster.RunStreamedServer — the same computation the
-// fixed fleet runs. An autoscaler pinned to Min = Max = N therefore
-// reproduces cluster.Config{Streamed: true} results bit for bit, which
-// the golden digests prove. See DESIGN.md §8.
+// routing, then scale-up, then scale-down); routing is cluster.Router, the
+// same per-arrival step the fixed fleet runs, and every per-server
+// simulation is cluster.RunStreamedServer, which admits tasks exactly as
+// the fixed fleet's lockstep servers do. An autoscaler pinned to
+// Min = Max = N therefore reproduces cluster.Simulate results bit for
+// bit, which the golden digests prove. See DESIGN.md §8.
 package autoscale
 
 import (
@@ -474,9 +475,9 @@ func (sv *serverState) run(cfg Config, policy ghost.Policy) {
 type controller struct {
 	cfg      Config
 	up, down float64
-	model    *cluster.FleetModel
-	pools    *cluster.WarmPools // nil unless cfg.ColdStart.Enabled()
-	disp     cluster.Dispatcher
+	router   *cluster.Router
+	model    *cluster.FleetModel // the router's load model
+	pools    *cluster.WarmPools  // the router's warm pools; nil unless cfg.ColdStart.Enabled()
 	servers  []*serverState
 	// candidates are the ready, non-draining server indices, ascending.
 	candidates []int
@@ -495,11 +496,7 @@ type controller struct {
 	// pooled workers, not raw goroutines, so host goroutine count tracks
 	// peak live fleet size rather than total launches.
 	pool workerPool
-	// warmHits/coldMisses tally the warm-pool outcome per routed
-	// invocation; nil unless both counting and the cold-start model are
-	// enabled (DESIGN.md §13).
-	warmHits, coldMisses *obs.Counter
-	pg                   *obs.Progress
+	pg   *obs.Progress
 	// faultsOn caches cfg.Faults.Enabled().
 	faultsOn bool
 	// nextCrash is the earliest crashAt among current candidates (may be
@@ -578,35 +575,26 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	// distantPast keeps the first launch/drain decision free of cooldown
 	// gating without risking subtraction overflow against run timestamps.
 	const distantPast = time.Duration(math.MinInt64 / 2)
+	router, err := cluster.NewRouter(0, cfg.Kernel.Cores, cfg.Dispatch, cfg.Seed, cfg.ColdStart, cfg.Obs.Registry())
+	if err != nil {
+		return nil, err
+	}
 	c := &controller{
 		cfg:       cfg,
 		up:        up,
 		down:      down,
-		model:     cluster.NewFleetModel(0, cfg.Kernel.Cores),
+		router:    router,
+		model:     router.Model(),
+		pools:     router.Pools(),
 		track:     newInflight(),
 		lastUp:    distantPast,
 		lastDwn:   distantPast,
 		faultsOn:  cfg.Faults.Enabled(),
 		nextCrash: farFuture,
+		pg:        cfg.Obs.Progress(),
 	}
-	if c.disp, err = cluster.NewDispatcher(cfg.Dispatch, cfg.Seed, c.model); err != nil {
-		return nil, err
-	}
-	if cfg.ColdStart.Enabled() {
-		c.pools = cluster.NewWarmPools(cfg.ColdStart, 0)
-		if cfg.ColdStart.WarmFirst {
-			c.disp = cluster.WarmFirstDispatcher(c.disp, c.pools, c.model)
-		}
-	}
-	c.pg = cfg.Obs.Progress()
-	if reg := cfg.Obs.Registry(); reg != nil {
-		if c.pools != nil {
-			c.warmHits = reg.Counter(obs.CColdWarmHits)
-			c.coldMisses = reg.Counter(obs.CColdMisses)
-		}
-		if c.faultsOn {
-			c.crashCtr = reg.Counter(obs.CScaleCrashes)
-		}
+	if reg := cfg.Obs.Registry(); reg != nil && c.faultsOn {
+		c.crashCtr = reg.Counter(obs.CScaleCrashes)
 	}
 	// The Min floor is provisioned before the run: launched and ready at
 	// time zero, exactly the fixed fleet's starting state.
@@ -818,57 +806,33 @@ func (c *controller) closeCrashed() {
 	c.crashedOpen = c.crashedOpen[:0]
 }
 
-// route dispatches one invocation among the candidates and books it into
-// the causal model.
+// route dispatches one invocation through the router and hands it to
+// its server. When every candidate crashed and the replacements are still
+// booting, the arrival queues on the most recently crashed server:
+// delivery kills the task in-kernel (fail-fast) and the retry budget —
+// futile against a terminal crash — decides its give-up record, so the
+// arrival is still accounted for.
 func (c *controller) route(inv workload.Invocation, idx int) error {
-	var s int
-	if len(c.candidates) == 0 && c.faultsOn {
-		// Every candidate crashed and the replacements are still booting:
-		// queue on the most recently crashed server. Delivery kills the
-		// task in-kernel (fail-fast) and the retry budget — futile against
-		// a terminal crash — decides its give-up record, so the arrival is
-		// still accounted for.
-		n := len(c.crashedOpen)
-		if n == 0 {
-			return fmt.Errorf("autoscale: no routable server at %v", inv.Arrival)
-		}
-		s = c.crashedOpen[n-1]
-	} else {
-		s = c.disp.Pick(inv, c.candidates)
-		i := sort.SearchInts(c.candidates, s)
-		if i >= len(c.candidates) || c.candidates[i] != s {
-			return fmt.Errorf("autoscale: dispatch %q picked non-candidate server %d", c.cfg.Dispatch, s)
-		}
+	fallback := -1
+	if n := len(c.crashedOpen); n > 0 {
+		fallback = c.crashedOpen[n-1]
 	}
-	var cold, finish time.Duration
-	if c.pools == nil {
-		finish = c.model.Assign(s, inv)
-	} else {
-		if c.pools.IsCold(s, inv, inv.Arrival) {
-			cold = c.cfg.ColdStart.Latency
-		}
-		finish = c.model.AssignDemand(s, inv.Arrival, inv.Duration+cold)
-		c.pools.Book(s, inv, inv.Arrival, finish, cold > 0)
-		if cold > 0 {
-			if c.coldMisses != nil {
-				c.coldMisses.Inc()
-			}
-		} else if c.warmHits != nil {
-			c.warmHits.Inc()
-		}
+	r, s, finish, err := c.router.Route(inv, idx, c.candidates, fallback)
+	if err != nil {
+		return err
 	}
 	if c.cfg.Policy == PolicyQueueDepth {
 		c.track.book(s, finish)
 	}
 	sv := c.servers[s]
 	sv.Routed++
-	if cold > 0 {
+	if r.ColdStart > 0 {
 		sv.ColdStarts++
 	}
 	if c.cfg.TrackAssignment {
 		c.assign = append(c.assign, s)
 	}
-	sv.ch <- cluster.Routed{Inv: inv, Idx: idx, ColdStart: cold}
+	sv.ch <- r
 	if c.pg != nil {
 		c.pg.Routed.Add(1)
 		c.pg.Watermark.Store(int64(inv.Arrival))

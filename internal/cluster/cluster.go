@@ -1,22 +1,22 @@
 // Package cluster scales the single-enclave simulation out to a fleet: N
 // independent servers, each its own simkern.Kernel plus ghost enclave
-// running a per-server scheduling policy, fronted by a dispatch policy
-// that routes every invocation to one server at its arrival time.
+// running a per-server scheduling policy, fronted by a Router that places
+// every invocation on one server at its arrival time.
 //
-// Dispatch happens first and is fully deterministic (the dispatcher sees
-// only its own causal load model, never simulated server state), so the
-// per-server simulations are independent and run concurrently — a bounded
-// worker pool drains contiguous server shards, each shard's servers run
-// sequentially on one worker — with a deterministic merge of the
-// per-server metric sets afterwards. Wall-clock therefore scales with
-// available host cores, not with fleet size. See DESIGN.md §5 and §11.
+// Routing is fully deterministic (the router sees only its own causal
+// load model, never simulated server state), so the per-server
+// simulations are independent. Every fixed fleet runs on one engine, the
+// lockstep run (sharded.go): the router streams arrivals to shard workers
+// that each own a contiguous server range and advance it to shared
+// watermarks, and the shard results merge deterministically afterwards.
+// Simulate is that run over a slice, with exact records. Wall-clock
+// therefore scales with available host cores, not with fleet size. See
+// DESIGN.md §5 and §11.
 package cluster
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/faassched/faassched/internal/faults"
@@ -44,36 +44,23 @@ type Config struct {
 	Policy func() ghost.Policy
 	// Ghost configures each server's delegation enclave.
 	Ghost ghost.Config
-	// Streamed drives every server through the lazy-admission streaming
-	// dataflow (simrun.ExecStream): each server gets its own completion
-	// sink and task pool, so per-server peak memory is bounded by active
-	// tasks plus the look-ahead window rather than the routed share. The
-	// per-server sinks merge exactly as the materialized sets do (records
-	// re-sorted by global invocation id), so results are bit-for-bit
-	// identical either way — provided the policy never calls
-	// Env.AbortTask (see simrun.ExecStream's precondition; no dispatchable
-	// policy does).
-	Streamed bool
-	// Window overrides the streamed feeders' look-ahead half-window and
-	// the lockstep replay's watermark spacing; zero means
-	// simrun.DefaultWindow, and the materialized dataflow ignores it. It
-	// trades memory against feeder and watermark overhead only: results
-	// do not depend on it (DESIGN.md §7).
+	// Window is the lockstep run's watermark spacing; zero means
+	// simrun.DefaultWindow. It trades host overhead against buffered
+	// handoffs only: results do not depend on it (DESIGN.md §7, §11).
 	Window time.Duration
 	// ColdStart configures the per-function warm-instance model (see
 	// coldstart.go and DESIGN.md §10). The zero value disables it, and a
 	// disabled model leaves routing and task demands byte-for-byte
 	// unchanged.
 	ColdStart ColdStartConfig
-	// Shards partitions the fleet into contiguous server ranges; each
-	// shard's servers run sequentially on one pooled worker and fold into
-	// a shard-local result before the deterministic cross-shard merge.
-	// Zero picks min(Servers, 4×Workers). Results are bit-for-bit
-	// independent of the shard count and of worker scheduling
-	// (DESIGN.md §11).
+	// Shards partitions the fleet into contiguous server ranges, each owned
+	// by one shard worker that advances its servers in lockstep with the
+	// router; shard results merge deterministically after the run. Zero
+	// picks min(Servers, 4×Workers). Results are bit-for-bit independent
+	// of the shard count and of goroutine scheduling (DESIGN.md §11).
 	Shards int
-	// Workers bounds the worker pool draining the shard queue. Zero
-	// means GOMAXPROCS.
+	// Workers only sets the default shard count (4×Workers). Zero means
+	// GOMAXPROCS.
 	Workers int
 	// Obs enables the observability layer (counters, trace export,
 	// progress). Nil disables it entirely; observation never alters
@@ -82,10 +69,8 @@ type Config struct {
 	// Faults is the deterministic fault plan (server crashes, straggler
 	// windows, invocation timeouts, retry/backoff — DESIGN.md §14). The
 	// zero value disables the layer and leaves every code path
-	// byte-for-byte unchanged. An enabled plan forces the streaming
-	// per-server dataflow (kills and retries need the abort/admit seam),
-	// and plans that kill require a ghost.TaskEvictor policy (fifo, cfs,
-	// hybrid).
+	// byte-for-byte unchanged. Plans that kill require a ghost.TaskEvictor
+	// policy (fifo, cfs, hybrid).
 	Faults faults.Config
 }
 
@@ -108,25 +93,45 @@ func shardRanges(n, shards int) [][2]int {
 	return ranges
 }
 
-// shardPlan resolves the Shards/Workers knobs against the fleet size.
-func shardPlan(servers, shards, workers int) ([][2]int, int, error) {
+// shardPlan resolves the Shards/Workers knobs against the fleet size;
+// Workers only sets the default shard count.
+func shardPlan(servers, shards, workers int) ([][2]int, error) {
 	if shards < 0 {
-		return nil, 0, fmt.Errorf("cluster: Shards must be >= 0, got %d", shards)
+		return nil, fmt.Errorf("cluster: Shards must be >= 0, got %d", shards)
 	}
 	if workers < 0 {
-		return nil, 0, fmt.Errorf("cluster: Workers must be >= 0, got %d", workers)
-	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return nil, fmt.Errorf("cluster: Workers must be >= 0, got %d", workers)
 	}
 	if shards == 0 {
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		shards = 4 * workers
 	}
-	ranges := shardRanges(servers, shards)
-	if workers > len(ranges) {
-		workers = len(ranges)
+	return shardRanges(servers, shards), nil
+}
+
+// validate checks cfg and fills in its defaults.
+func (cfg *Config) validate() error {
+	if cfg.Servers < 1 {
+		return fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
 	}
-	return ranges, workers, nil
+	if cfg.Policy == nil {
+		return fmt.Errorf("cluster: nil Policy factory")
+	}
+	if cfg.Kernel.Cores < 1 {
+		return fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
+	}
+	if cfg.Window < 0 {
+		return fmt.Errorf("cluster: negative look-ahead window %v", cfg.Window)
+	}
+	if cfg.Dispatch == "" {
+		cfg.Dispatch = DispatchLeastLoaded
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	return cfg.Faults.Validate()
 }
 
 // ServerResult is one server's share of a fleet simulation.
@@ -219,7 +224,6 @@ type Routed struct {
 // task's service demand: instance init is CPU work on the instance
 // (which is exactly how OS scheduling and function start behavior
 // interact), and a straggler window stretches CPU work the same way.
-// Both the slice path and the task-pool path apply the same fold.
 func (r Routed) applyColdStart(t *simkern.Task) *simkern.Task {
 	if r.ColdStart > 0 {
 		t.Work += r.ColdStart
@@ -231,227 +235,18 @@ func (r Routed) applyColdStart(t *simkern.Task) *simkern.Task {
 	return t
 }
 
-// Simulate routes invs across the fleet and simulates every server.
+// Simulate routes invs across the fleet and simulates every server: the
+// lockstep run of SimulateShardedExact over the slice.
 func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
-	if cfg.Servers < 1 {
-		return nil, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
-	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("cluster: nil Policy factory")
-	}
 	if len(invs) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload")
-	}
-	if cfg.Kernel.Cores < 1 {
-		return nil, fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
-	}
-	if cfg.Dispatch == "" {
-		cfg.Dispatch = DispatchLeastLoaded
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
 	}
 	for i := 1; i < len(invs); i++ {
 		if invs[i].Arrival < invs[i-1].Arrival {
 			return nil, fmt.Errorf("cluster: invocations not sorted by arrival at index %d", i)
 		}
 	}
-
-	// Phase 1: route every invocation, in arrival order, deterministically.
-	// The warm pools, like the fleet model, are causal front-end state:
-	// both update single-threaded here, so routing (and with it every
-	// cold/warm decision) is fixed before any server simulates.
-	model := NewFleetModel(cfg.Servers, cfg.Kernel.Cores)
-	disp, err := NewDispatcher(cfg.Dispatch, cfg.Seed, model)
-	if err != nil {
-		return nil, err
-	}
-	var pools *WarmPools
-	if cfg.ColdStart.Enabled() {
-		pools = NewWarmPools(cfg.ColdStart, cfg.Servers)
-		if cfg.ColdStart.WarmFirst {
-			disp = WarmFirstDispatcher(disp, pools, model)
-		}
-	}
-	candidates := make([]int, cfg.Servers)
-	for s := range candidates {
-		candidates[s] = s
-	}
-	rf := newRouteFaults(cfg.Faults, cfg.Servers, model, pools, cfg.Obs.Tracer())
-	// Routing runs single-threaded, so the cold-start tallies and
-	// progress publishing live here on the control thread.
-	var warmHits, coldMisses *obs.Counter
-	if reg := cfg.Obs.Registry(); reg != nil && pools != nil {
-		warmHits = reg.Counter(obs.CColdWarmHits)
-		coldMisses = reg.Counter(obs.CColdMisses)
-	}
-	pg := cfg.Obs.Progress()
-	assignment := make([]int, len(invs))
-	perServer := make([][]Routed, cfg.Servers)
-	for i, inv := range invs {
-		cand := candidates
-		if rf != nil {
-			cand = rf.route(inv.Arrival)
-		}
-		var s int
-		if rf != nil && len(cand) == 0 {
-			s = rf.fallback()
-		} else {
-			s = disp.Pick(inv, cand)
-		}
-		if s < 0 || s >= cfg.Servers {
-			return nil, fmt.Errorf("cluster: dispatch %q picked server %d of %d", cfg.Dispatch, s, cfg.Servers)
-		}
-		var slow time.Duration
-		if rf != nil {
-			slow = rf.slow(s, inv.Arrival, inv.Duration)
-		}
-		var cold time.Duration
-		if pools == nil {
-			model.AssignDemand(s, inv.Arrival, inv.Duration+slow)
-		} else {
-			if pools.IsCold(s, inv, inv.Arrival) {
-				cold = cfg.ColdStart.Latency
-			}
-			finish := model.AssignDemand(s, inv.Arrival, inv.Duration+cold+slow)
-			pools.Book(s, inv, inv.Arrival, finish, cold > 0)
-			if cold > 0 {
-				if coldMisses != nil {
-					coldMisses.Inc()
-				}
-			} else if warmHits != nil {
-				warmHits.Inc()
-			}
-		}
-		assignment[i] = s
-		perServer[s] = append(perServer[s], Routed{Inv: inv, Idx: i, ColdStart: cold, Slow: slow})
-		if pg != nil {
-			pg.Routed.Add(1)
-			pg.Watermark.Store(int64(inv.Arrival))
-		}
-	}
-
-	// Policies are built sequentially so factories need not be
-	// goroutine-safe.
-	policies := make([]ghost.Policy, cfg.Servers)
-	for s := range policies {
-		if policies[s] = cfg.Policy(); policies[s] == nil {
-			return nil, fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
-		}
-	}
-
-	// Phase 2: simulate the fleet on a bounded worker pool over server
-	// shards. Each shard's servers run sequentially on whichever worker
-	// claims it; results land at the server's own index, so worker
-	// scheduling cannot perturb the merge below.
-	shards, workers, err := shardPlan(cfg.Servers, cfg.Shards, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ServerResult, cfg.Servers)
-	errs := make([]error, cfg.Servers)
-	jobs := make(chan [2]int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				for s := r[0]; s < r[1]; s++ {
-					results[s], errs[s] = runServer(s, cfg, policies[s], perServer[s])
-				}
-			}
-		}()
-	}
-	for _, r := range shards {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: server %d: %w", s, err)
-		}
-	}
-
-	// Deterministic merge: concatenate per-server sets, then restore the
-	// global invocation order by ID.
-	res := &Result{
-		Dispatch:   cfg.Dispatch,
-		Servers:    cfg.Servers,
-		PerServer:  results,
-		Assignment: assignment,
-	}
-	for _, sr := range results {
-		res.Set.Records = append(res.Set.Records, sr.Set.Records...)
-		res.Preemptions += sr.Preemptions
-		res.Stats.Accumulate(sr.Stats)
-		res.Events += sr.Events
-		res.Faults.Accumulate(sr.Faults)
-		if sr.Makespan > res.Makespan {
-			res.Makespan = sr.Makespan
-		}
-	}
-	if rf != nil {
-		res.Faults.Accumulate(rf.stats())
-	}
-	sort.Slice(res.Set.Records, func(i, j int) bool {
-		return res.Set.Records[i].ID < res.Set.Records[j].ID
-	})
-	if reg := cfg.Obs.Registry(); reg != nil {
-		reg.AddGhostStats(res.Stats)
-		reg.Counter(obs.CKernEvents).Add(int64(res.Events))
-		reg.Counter(obs.CInvocations).Add(int64(len(invs)))
-		if rf != nil {
-			addFaultStats(reg, res.Faults)
-		}
-	}
-	return res, nil
-}
-
-// runServer simulates one server's routed share on a fresh kernel.
-func runServer(s int, cfg Config, policy ghost.Policy, share []Routed) (ServerResult, error) {
-	out := ServerResult{Server: s, Invocations: len(share)}
-	if len(share) == 0 {
-		return out, nil
-	}
-	kcfg, gcfg := obsConfigs(cfg.Kernel, cfg.Ghost, cfg.Obs, s)
-	var k *simkern.Kernel
-	var err error
-	var fm *faults.Machine
-	if cfg.Faults.Enabled() {
-		fm = faults.NewMachine(cfg.Faults, s)
-	}
-	if cfg.Streamed || fm != nil {
-		// Faults force the streaming dataflow: kills and retries work
-		// through the abort/admit seam only the per-server stream has.
-		k, out.Set, err = runStreamed(s, cfg, kcfg, gcfg, policy, fm, share, &out.Stats)
-		if fm != nil {
-			out.Faults = fm.Stats()
-		}
-	} else {
-		tasks := make([]*simkern.Task, 0, len(share))
-		for _, r := range share {
-			tasks = append(tasks, r.applyColdStart(workload.Task(r.Inv, simkern.TaskID(r.Idx+1))))
-		}
-		if k, err = simrun.ExecStats(kcfg, policy, gcfg, simrun.AddTasks(tasks), &out.Stats); err == nil {
-			out.Set = metrics.Collect(k)
-			cfg.Obs.Tracer().TaskSet(s, &out.Set)
-			if pg := cfg.Obs.Progress(); pg != nil {
-				pg.Done.Add(int64(len(out.Set.Records)))
-			}
-		}
-	}
-	if err != nil {
-		return out, err
-	}
-	out.Makespan = k.Makespan()
-	out.Events = k.EventSeq()
-	out.Preemptions = out.Set.TotalPreemptions()
-	return out, nil
+	return SimulateShardedExact(cfg, workload.SliceSource(invs))
 }
 
 // obsConfigs returns per-server kernel/enclave config copies with the
@@ -465,67 +260,70 @@ func obsConfigs(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, server int) 
 	return kcfg, gcfg
 }
 
+// serverFeed is one server's admission plumbing, shared by both
+// per-server runners (the lockstep shard worker and RunStreamedServer) so
+// they build identical tasks: it turns each Routed arrival into a pooled
+// task carrying its global invocation id (Idx+1) and demand surcharges,
+// and, when the fault plan is on, interposes the server's fault machine
+// between the retirer and the policy, on the record path, and on the task
+// build (crash kills, timeouts, retries — DESIGN.md §14).
+type serverFeed struct {
+	pool *workload.TaskPool
+	fm   *faults.Machine
+}
+
+// newServerFeed returns the feed for a server with fault machine fm (nil
+// without a plan), plus policy and sink wrapped for the machine to be
+// built over; the machine's retirer must recycle through feed.recycle.
+func newServerFeed(fm *faults.Machine, policy ghost.Policy, sink metrics.Sink) (*serverFeed, ghost.Policy, metrics.Sink, error) {
+	f := &serverFeed{pool: workload.NewTaskPool(), fm: fm}
+	if fm != nil {
+		var err error
+		if policy, err = fm.WrapPolicy(policy); err != nil {
+			return nil, nil, nil, err
+		}
+		sink = fm.WrapSink(sink)
+		fm.SetRecycle(f.recycle)
+	}
+	return f, policy, sink, nil
+}
+
+// recycle returns a retired task to the feed's pool.
+func (f *serverFeed) recycle(t *simkern.Task) { f.pool.Put(t) }
+
+// task builds the server-side task for one routed arrival.
+func (f *serverFeed) task(r Routed) *simkern.Task {
+	t := r.applyColdStart(f.pool.Get(r.Inv, simkern.TaskID(r.Idx+1)))
+	if f.fm != nil {
+		f.fm.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
+	}
+	return t
+}
+
 // RunStreamedServer drives one server's routed share — pulled lazily from
-// next — through the streaming dataflow: a per-server task pool feeds the
-// lazy-admission feeder, tasks carry their global invocation id (Idx+1),
-// and every completion is pushed into sink in completion order. Both the
-// fixed fleet (share slice) and the autoscale layer (routing channel) wrap
-// this one runner, so their per-server simulations are the same
-// computation by construction. fm, when non-nil, interposes the server's
-// fault machine on the policy, the sink, and the task build (crash
-// kills, timeouts, retries — DESIGN.md §14). stats, when non-nil,
-// receives the server enclave's delegation counters (fired vs elided
-// agent ticks) after the run drains.
+// next — through the streaming dataflow: the lazy-admission feeder admits
+// each arrival through a serverFeed, and every completion is pushed into
+// sink in completion order. The autoscale layer runs every live server on
+// it. fm, when non-nil, is the server's fault machine. stats, when
+// non-nil, receives the server enclave's delegation counters (fired vs
+// elided agent ticks) after the run drains.
 func RunStreamedServer(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
 	window time.Duration, fm *faults.Machine, next func() (Routed, bool), sink metrics.Sink, stats *ghost.Stats) (*simkern.Kernel, error) {
-	pool := workload.NewTaskPool()
+	feed, policy, sink, err := newServerFeed(fm, policy, sink)
+	if err != nil {
+		return nil, err
+	}
 	src := func() (*simkern.Task, bool) {
 		r, ok := next()
 		if !ok {
 			return nil, false
 		}
-		t := r.applyColdStart(pool.Get(r.Inv, simkern.TaskID(r.Idx+1)))
-		if fm != nil {
-			fm.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
-		}
-		return t, true
-	}
-	if fm != nil {
-		var err error
-		if policy, err = fm.WrapPolicy(policy); err != nil {
-			return nil, err
-		}
-		sink = fm.WrapSink(sink)
-		fm.SetRecycle(func(t *simkern.Task) { pool.Put(t) })
+		return feed.task(r), true
 	}
 	return simrun.ExecStream(kcfg, policy, gcfg, src, simrun.StreamConfig{
 		Window:  window,
 		Sink:    sink,
-		Recycle: func(t *simkern.Task) { pool.Put(t) },
+		Recycle: feed.recycle,
 		Stats:   stats,
 	})
-}
-
-// runStreamed is RunStreamedServer over a materialized share with an exact
-// Set sink. Records arrive in completion order and are re-sorted by global
-// invocation id, which is exactly the order metrics.Collect reports for
-// the materialized path.
-func runStreamed(s int, cfg Config, kcfg simkern.Config, gcfg ghost.Config,
-	policy ghost.Policy, fm *faults.Machine, share []Routed, stats *ghost.Stats) (*simkern.Kernel, metrics.Set, error) {
-	i := 0
-	next := func() (Routed, bool) {
-		if i >= len(share) {
-			return Routed{}, false
-		}
-		r := share[i]
-		i++
-		return r, true
-	}
-	var set metrics.Set
-	k, err := RunStreamedServer(kcfg, policy, gcfg, cfg.Window, fm, next, cfg.Obs.WrapSink(s, &set), stats)
-	if err != nil {
-		return nil, metrics.Set{}, err
-	}
-	sort.Slice(set.Records, func(a, b int) bool { return set.Records[a].ID < set.Records[b].ID })
-	return k, set, nil
 }

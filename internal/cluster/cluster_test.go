@@ -178,9 +178,9 @@ func TestFleetModel(t *testing.T) {
 		t.Error("fresh server not idle")
 	}
 	inv := workload.Invocation{Arrival: 0, Duration: 10 * time.Millisecond}
-	m.Assign(0, inv)
-	m.Assign(0, inv)
-	if fin := m.Assign(0, inv); fin != 20*time.Millisecond {
+	m.AssignDemand(0, inv.Arrival, inv.Duration)
+	m.AssignDemand(0, inv.Arrival, inv.Duration)
+	if fin := m.AssignDemand(0, inv.Arrival, inv.Duration); fin != 20*time.Millisecond {
 		t.Errorf("third booking finishes at %v, want 20ms (queued behind lane 0)", fin)
 	}
 	if w := m.Outstanding(0, 0); w != 30*time.Millisecond {
@@ -254,54 +254,5 @@ func TestEmptyServerTolerated(t *testing.T) {
 		if res.PerServer[s].Invocations != 0 {
 			t.Errorf("server %d should be empty", s)
 		}
-	}
-}
-
-// TestStreamedMatchesMaterialized: every dispatch policy must produce
-// bit-for-bit identical fleet results whether servers materialize their
-// share up front or stream it through lazy admission with per-server
-// sinks — the cluster-layer half of the streaming equivalence guarantee.
-func TestStreamedMatchesMaterialized(t *testing.T) {
-	invs := synthWorkload(400, 3*time.Millisecond, 9*time.Millisecond)
-	for _, d := range Dispatches() {
-		t.Run(string(d), func(t *testing.T) {
-			cfsFactory := func() ghost.Policy { return cfs.New(cfs.Params{}) }
-			base := testConfig(3, d)
-			base.Policy = cfsFactory
-			mat, err := Simulate(base, invs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed := base
-			streamed.Streamed = true
-			streamed.Window = 50 * time.Millisecond // small window: exercise many chunks
-			st, err := Simulate(streamed, invs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(st.Set.Records) != len(mat.Set.Records) {
-				t.Fatalf("streamed %d records, materialized %d", len(st.Set.Records), len(mat.Set.Records))
-			}
-			for i := range mat.Set.Records {
-				if st.Set.Records[i] != mat.Set.Records[i] {
-					t.Fatalf("record %d differs:\nstreamed     %+v\nmaterialized %+v", i, st.Set.Records[i], mat.Set.Records[i])
-				}
-			}
-			if st.Makespan != mat.Makespan || st.Preemptions != mat.Preemptions {
-				t.Errorf("aggregates differ: makespan %v/%v preemptions %d/%d",
-					st.Makespan, mat.Makespan, st.Preemptions, mat.Preemptions)
-			}
-			for s := range mat.PerServer {
-				a, b := st.PerServer[s], mat.PerServer[s]
-				if a.Invocations != b.Invocations || a.Makespan != b.Makespan || a.Preemptions != b.Preemptions {
-					t.Errorf("server %d summaries differ: %+v vs %+v", s, a, b)
-				}
-			}
-			for i := range mat.Assignment {
-				if st.Assignment[i] != mat.Assignment[i] {
-					t.Fatalf("assignment %d differs", i)
-				}
-			}
-		})
 	}
 }

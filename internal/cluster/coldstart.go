@@ -6,7 +6,7 @@
 // for Real-World Serverless Computing"). The model here lives at the
 // dispatch layer, next to the FleetModel: it is causal bookkeeping the
 // front-end can maintain from its own routing decisions, updated
-// single-threaded in arrival order, so Phase-1 routing stays
+// single-threaded in arrival order by the Router, so routing stays
 // deterministic and the per-server simulations stay independent.
 //
 // An instance's lifecycle under the lane model: an invocation routed to a
@@ -106,8 +106,8 @@ type serverPool struct {
 }
 
 // WarmPools is the fleet's warm-instance state, indexed by server. Like
-// the FleetModel it is updated only from the single-threaded routing
-// loop, in arrival order, so decision time never decreases.
+// the FleetModel it is updated only by the single-threaded Router, in
+// arrival order, so decision time never decreases.
 type WarmPools struct {
 	cfg   ColdStartConfig
 	pools []*serverPool

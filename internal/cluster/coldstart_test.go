@@ -132,37 +132,32 @@ func TestWarmPoolsMemoryBound(t *testing.T) {
 // TestWarmHitPaysNoLatency is the tentpole invariant end to end: with one
 // function arriving slower than it runs, only the first invocation per
 // server pays the cold start — and a warm hit's execution never includes
-// the start latency. The streamed path must agree record for record.
+// the start latency.
 func TestWarmHitPaysNoLatency(t *testing.T) {
 	const latency = 50 * time.Millisecond
 	cs := ColdStartConfig{Latency: latency, KeepAlive: time.Minute}
 	invs := oneFunc(6, 500*time.Millisecond, 10*time.Millisecond)
 
-	for _, streamed := range []bool{false, true} {
-		cfg := coldConfig(1, DispatchLeastLoaded, cs)
-		cfg.Streamed = streamed
-		res, err := Simulate(cfg, invs)
-		if err != nil {
-			t.Fatal(err)
+	res, err := Simulate(coldConfig(1, DispatchLeastLoaded, cs), invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Set.ColdStarts(); n != 1 {
+		t.Fatalf("%d cold starts, want 1", n)
+	}
+	recs := res.Set.Records
+	if recs[0].ColdStart != latency {
+		t.Errorf("first record ColdStart = %v, want %v", recs[0].ColdStart, latency)
+	}
+	for _, r := range recs[1:] {
+		if r.ColdStart != 0 {
+			t.Errorf("warm record %d carries ColdStart %v", r.ID, r.ColdStart)
 		}
-		if n := res.Set.ColdStarts(); n != 1 {
-			t.Fatalf("streamed=%v: %d cold starts, want 1", streamed, n)
-		}
-		recs := res.Set.Records
-		if recs[0].ColdStart != latency {
-			t.Errorf("streamed=%v: first record ColdStart = %v, want %v", streamed, recs[0].ColdStart, latency)
-		}
-		for _, r := range recs[1:] {
-			if r.ColdStart != 0 {
-				t.Errorf("streamed=%v: warm record %d carries ColdStart %v", streamed, r.ID, r.ColdStart)
-			}
-		}
-		// The cold record's execution carries exactly the extra latency
-		// relative to an identical warm hit (same demand, idle server).
-		d := recs[0].Execution() - recs[1].Execution()
-		if d != latency {
-			t.Errorf("streamed=%v: cold-warm execution delta = %v, want %v", streamed, d, latency)
-		}
+	}
+	// The cold record's execution carries exactly the extra latency
+	// relative to an identical warm hit (same demand, idle server).
+	if d := recs[0].Execution() - recs[1].Execution(); d != latency {
+		t.Errorf("cold-warm execution delta = %v, want %v", d, latency)
 	}
 }
 

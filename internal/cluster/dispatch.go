@@ -106,9 +106,9 @@ func (m *FleetModel) AddServer(readyAt time.Duration) int {
 
 // SetEligible marks server s in or out of the indexed dispatch set as of
 // decision time now. The caller must keep this set equal to the
-// candidate slice it passes to Pick; the fixed fleets never call it (the
-// whole starting fleet is eligible), the autoscaler calls it at activate
-// and at drain.
+// candidate slice it passes to Pick; the fixed fleets call it only for
+// fault-plan outages (the whole starting fleet is eligible), the
+// autoscaler at activate, drain and crash.
 func (m *FleetModel) SetEligible(s int, eligible bool, now time.Duration) {
 	if m.elig[s] == eligible {
 		return
@@ -174,15 +174,10 @@ func (m *FleetModel) IdleSince(s int, now time.Duration) (time.Duration, bool) {
 	return last, true
 }
 
-// Assign books inv onto server s's earliest-freeing lane and returns the
-// booked completion instant (start + service demand under the lane model).
-func (m *FleetModel) Assign(s int, inv workload.Invocation) time.Duration {
-	return m.AssignDemand(s, inv.Arrival, inv.Duration)
-}
-
-// AssignDemand is Assign with an explicit service demand, for callers
-// that inflate an invocation's demand — the cold-start model adds the
-// instance spin-up latency on cold placements.
+// AssignDemand books demand arriving at arrival onto server s's
+// earliest-freeing lane and returns the booked completion instant (start
+// + demand under the lane model). The Router passes the invocation's
+// duration plus its cold-start and straggler surcharges.
 func (m *FleetModel) AssignDemand(s int, arrival, demand time.Duration) time.Duration {
 	lanes := m.laneFree[s]
 	best := 0
@@ -213,8 +208,9 @@ func (m *FleetModel) AssignDemand(s int, arrival, demand time.Duration) time.Dur
 // dispatcher, which is what pins the min=max golden digests.
 //
 // The load-dependent policies answer from the fleet load index when the
-// candidate slice is the model's eligible set (the routing loops and the
-// autoscaler maintain that invariant — see FleetModel.SetEligible); any
+// candidate slice is the model's eligible set (the Router's callers, the
+// fixed fleet and the autoscaler, maintain that invariant — see
+// FleetModel.SetEligible); any
 // other subset takes the original linear scan, which remains exact.
 type Dispatcher interface {
 	Pick(inv workload.Invocation, candidates []int) int

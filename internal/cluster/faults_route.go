@@ -1,10 +1,9 @@
-// Router-side fault handling, shared verbatim by the flat (Simulate) and
-// sharded (runSharded) routing loops so both dataflows make identical
-// decisions: the fault plan's crash transitions gate dispatch eligibility
-// (a down server takes no new work and loses its warm pool), straggler
-// windows surcharge routed demand, and when the whole fleet is down work
-// queues on the soonest-recovering server. Everything here runs on the
-// single routing thread.
+// Router-side fault handling for fixed fleets: the fault plan's crash
+// transitions gate dispatch eligibility (a down server takes no new work
+// and loses its warm pool), straggler windows surcharge routed demand
+// (through the Router), and when the whole fleet is down work queues on
+// the soonest-recovering server. Everything here runs on the single
+// routing thread.
 
 package cluster
 
@@ -15,13 +14,13 @@ import (
 	"github.com/faassched/faassched/internal/obs"
 )
 
-// routeFaults is the routing loops' fault-plan adapter: it advances the
-// fleet timeline to each arrival, keeps the candidate slice equal to the
-// model's eligible set (the invariant the indexed dispatch fast path
-// needs), and answers the per-arrival questions (fallback target,
-// straggler surcharge).
+// routeFaults supplies the fixed fleet's per-arrival candidate set: it
+// advances the fault timeline to each arrival and keeps the candidate
+// slice equal to the model's eligible set (the invariant the indexed
+// dispatch fast path needs). With the plan disabled every server is
+// always a candidate.
 type routeFaults struct {
-	fleet      *faults.Fleet
+	fleet      *faults.Fleet // nil when the plan is disabled
 	model      *FleetModel
 	pools      *WarmPools
 	tracer     *obs.Tracer
@@ -32,25 +31,24 @@ type routeFaults struct {
 	onUpFn     func(int)
 }
 
-// newRouteFaults builds the adapter, or returns nil when the plan is
-// disabled (callers branch on nil and keep the exact pre-fault code
-// path).
-func newRouteFaults(cfg faults.Config, servers int, model *FleetModel, pools *WarmPools, tracer *obs.Tracer) *routeFaults {
-	if !cfg.Enabled() {
-		return nil
-	}
+// newRouteFaults builds the adapter over the router's fleet and arms the
+// router's straggler surcharge when the plan is enabled.
+func newRouteFaults(cfg faults.Config, r *Router, tracer *obs.Tracer) *routeFaults {
 	rf := &routeFaults{
-		fleet:      faults.NewFleet(cfg, servers),
-		model:      model,
-		pools:      pools,
+		model:      r.model,
+		pools:      r.pools,
 		tracer:     tracer,
-		candidates: make([]int, servers),
+		candidates: make([]int, r.model.Servers()),
 	}
 	for s := range rf.candidates {
 		rf.candidates[s] = s
 	}
-	rf.onDownFn = rf.onDown
-	rf.onUpFn = rf.onUp
+	if cfg.Enabled() {
+		rf.fleet = faults.NewFleet(cfg, len(rf.candidates))
+		r.stragglers = rf.fleet
+		rf.onDownFn = rf.onDown
+		rf.onUpFn = rf.onUp
+	}
 	return rf
 }
 
@@ -71,8 +69,16 @@ func (rf *routeFaults) onUp(s int) {
 }
 
 // route applies every fault transition due by arrival and returns the
-// eligible candidate set. Allocation-free when nothing transitioned.
-func (rf *routeFaults) route(arrival time.Duration) []int {
+// eligible candidate set. When every server is down it returns the
+// fallback instead: the soonest-recovering server (ties to the lowest
+// index). The booking still happens there — the work queues and the
+// in-kernel machine kills and retries it past recovery — so the causal
+// load model keeps charging the queued demand. Allocation-free when
+// nothing transitioned.
+func (rf *routeFaults) route(arrival time.Duration) (candidates []int, fallback int) {
+	if rf.fleet == nil {
+		return rf.candidates, -1
+	}
 	rf.now = arrival
 	rf.fleet.Advance(arrival, rf.onDownFn, rf.onUpFn)
 	if rf.dirty {
@@ -84,25 +90,20 @@ func (rf *routeFaults) route(arrival time.Duration) []int {
 		}
 		rf.dirty = false
 	}
-	return rf.candidates
-}
-
-// fallback returns the routing target when every server is down: the
-// soonest-recovering one (ties to the lowest index). The booking still
-// happens — the work queues there and the in-kernel machine kills and
-// retries it past recovery — so the causal load model keeps charging the
-// queued demand.
-func (rf *routeFaults) fallback() int { return rf.fleet.SoonestUp() }
-
-// slow is the straggler demand surcharge for routing inv's pristine
-// duration to server s at arrival.
-func (rf *routeFaults) slow(s int, arrival, duration time.Duration) time.Duration {
-	return rf.fleet.SlowExtra(s, arrival, duration)
+	if len(rf.candidates) == 0 {
+		return nil, rf.fleet.SoonestUp()
+	}
+	return rf.candidates, -1
 }
 
 // stats returns the router-side fault counters (crash and straggler
-// windows entered so far).
-func (rf *routeFaults) stats() faults.Stats { return rf.fleet.Stats() }
+// windows entered so far); zero with the plan disabled.
+func (rf *routeFaults) stats() faults.Stats {
+	if rf.fleet == nil {
+		return faults.Stats{}
+	}
+	return rf.fleet.Stats()
+}
 
 // addFaultStats folds fault counters into an obs registry.
 func addFaultStats(reg *obs.Registry, st faults.Stats) {

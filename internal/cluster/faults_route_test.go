@@ -11,8 +11,8 @@ import (
 // TestRouteFaultsHotPathAllocFree pins the obs-disabled fault seam's
 // allocation behavior on the per-arrival dispatch path: once the fault
 // timeline is generated and the transition heap is at steady capacity,
-// advancing the fleet, picking a server, and pricing the straggler
-// surcharge must not allocate (the companion of bench_smoke.sh gate 3 —
+// advancing the fleet and routing an arrival (pick, straggler surcharge,
+// booking) must not allocate (the companion of bench_smoke.sh gate 3 —
 // the fault layer must not leak allocations onto the routing thread the
 // way the obs seams must not).
 func TestRouteFaultsHotPathAllocFree(t *testing.T) {
@@ -23,14 +23,13 @@ func TestRouteFaultsHotPathAllocFree(t *testing.T) {
 		Downtime:      5 * time.Second,
 		StragglerMTBF: 40 * time.Second,
 	}
-	model := NewFleetModel(servers, cores)
-	rf := newRouteFaults(cfg, servers, model, nil, nil)
-	if rf == nil {
-		t.Fatal("enabled plan produced no adapter")
-	}
-	disp, err := NewDispatcher(DispatchLeastLoaded, 1, model)
+	router, err := NewRouter(servers, cores, DispatchLeastLoaded, 1, ColdStartConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rf := newRouteFaults(cfg, router, nil)
+	if router.stragglers == nil {
+		t.Fatal("enabled plan armed no straggler surcharge")
 	}
 	// Warm up past several transition cycles so every lazy structure —
 	// per-server schedules, the transition heap, the candidate slice —
@@ -39,10 +38,9 @@ func TestRouteFaultsHotPathAllocFree(t *testing.T) {
 	rf.route(now)
 	inv := workload.Invocation{FuncID: 1, Arrival: now, Duration: 10 * time.Millisecond, MemMB: 128}
 	allocs := testing.AllocsPerRun(1000, func() {
-		cands := rf.route(now)
-		s := disp.Pick(inv, cands)
-		if s >= 0 {
-			_ = rf.slow(s, now, inv.Duration)
+		cands, fallback := rf.route(now)
+		if _, _, _, err := router.Route(inv, 0, cands, fallback); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {

@@ -14,8 +14,8 @@
 // (sumFree, server index); a pick reads cores+1 roots and compares their
 // loads at now — lexicographic (load, index), identical to the linear
 // first-minimum scan. Loads change only at assign instants and at booked
-// lane-finish instants, so updates are event-driven: Assign adjusts the
-// chosen server's bucket directly, and lane expiries sit in a lazy
+// lane-finish instants, so updates are event-driven: AssignDemand adjusts
+// the chosen server's bucket directly, and lane expiries sit in a lazy
 // min-heap drained by advance(now) before every indexed read. A second
 // tree over (idleSince, index) answers join-idle-queue's
 // longest-idle-first pick.
@@ -149,7 +149,7 @@ func (h *expiryHeap) pop() laneExpiry {
 
 // loadIndex mirrors the FleetModel's per-server load as of `now`, the
 // high-water mark of indexed reads and assigns. It assumes the
-// non-decreasing decision times the routing loops guarantee; calls with
+// non-decreasing decision times the Router's callers guarantee; calls with
 // an earlier instant never rewind it (the linear fallbacks stay exact
 // for any caller the index cannot serve).
 type loadIndex struct {
@@ -238,7 +238,7 @@ func (ix *loadIndex) addServer(readyAt time.Duration) {
 // setEligible adds or removes server s from the dispatchable set. The
 // indexed fast path answers picks over exactly the eligible servers, so
 // callers must keep this set equal to the candidate slice they pass to
-// Pick (the routing loops and the autoscaler do; anyone else gets the
+// Pick (the Router's callers do; anyone else gets the
 // linear fallback via the candidate-count check).
 func (ix *loadIndex) setEligible(s int, on bool) {
 	if ix.elig[s] == on {
@@ -339,7 +339,7 @@ func (ix *loadIndex) assigned(s, lane int, oldFree, newFree, at time.Duration) {
 }
 
 // usable advances the index to now and reports whether it can answer a
-// pick for this candidate slice: the routing loops always pass exactly
+// pick for this candidate slice: the Router's callers always pass exactly
 // the eligible set (in ascending order), so a length match means the
 // slices are the same set. Any other caller falls back to the linear
 // scans, which are exact for arbitrary subsets.

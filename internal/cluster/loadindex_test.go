@@ -337,10 +337,10 @@ func mustDispatcher(t *testing.T, d Dispatch, seed int64, m *FleetModel) Dispatc
 	return disp
 }
 
-// book mirrors the routing loops' post-Pick bookkeeping.
+// book mirrors the Router's post-Pick bookkeeping.
 func book(m *FleetModel, pools *WarmPools, s int, inv workload.Invocation, cfg ColdStartConfig) {
 	if !cfg.Enabled() {
-		m.Assign(s, inv)
+		m.AssignDemand(s, inv.Arrival, inv.Duration)
 		return
 	}
 	var cold time.Duration

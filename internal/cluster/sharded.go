@@ -1,15 +1,15 @@
-// Sharded streaming fleet: the fixed fleet's streamed mode materializes
-// every server's routed share before simulating (perServer slices), which
-// at provider scale — 1,000 servers × a ×10 24 h Azure window ≈ 90M
-// invocations — is gigabytes of slices before the first event fires.
-// SimulateSharded* instead stream routing and simulation together in
-// lockstep: a single router goroutine owns the arrival order (dispatch
-// stays causally deterministic, exactly as Simulate's phase 1), hands
-// each Routed invocation to the shard owning its server, and broadcasts
-// a watermark T once every arrival ≤ T has been handed over. Each shard
-// worker owns its servers' machines outright: on an arrival it admits
-// the task (simkern.AdmitTask, same pre-seeding-equivalent admit class
-// the feeder path uses), on a watermark it advances its servers to T in
+// The lockstep fleet run, the engine under every fixed fleet (Simulate,
+// SimulateShardedExact, SimulateShardedWindowed). Nothing is materialized
+// per server: at provider scale — 1,000 servers × a ×10 24 h Azure window
+// ≈ 90M invocations — per-server shares would be gigabytes of slices
+// before the first event fires. Instead routing and simulation stream
+// together in lockstep: a single router goroutine owns the arrival order
+// (the Router keeps dispatch causally deterministic), hands each Routed
+// invocation to the shard owning its server, and broadcasts a watermark T
+// once every arrival ≤ T has been handed over. Each shard worker owns its
+// servers' machines outright: on an arrival it admits the task
+// (simkern.AdmitTask, same pre-seeding-equivalent admit class the feeder
+// path uses), on a watermark it advances its servers to T in
 // server-index order, folding completions into a shard-local sink. When
 // the source drains, shards drain their machines and the shard results
 // merge in shard-index order (a pairwise metrics.MergeTree for the
@@ -29,7 +29,6 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/obs"
 	"github.com/faassched/faassched/internal/pricing"
-	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -50,12 +49,11 @@ const shardChanBuf = 256
 
 // shardedServer is one live machine inside a shard worker. Servers are
 // created on first arrival, so fleet slots that never receive traffic
-// cost nothing — matching the flat path, where an empty share skips the
-// simulation entirely.
+// cost nothing.
 type shardedServer struct {
 	inc         *simrun.Incremental
+	feed        *serverFeed
 	set         *metrics.Set // exact mode only
-	fm          *faults.Machine
 	invocations int
 }
 
@@ -113,8 +111,8 @@ func (w *shardWorker) run(done chan<- struct{}) {
 		w.stats.Accumulate(sv.inc.Stats())
 		w.events += sv.inc.Events()
 		w.invs += sv.invocations
-		if sv.fm != nil {
-			w.faults.Accumulate(sv.fm.Stats())
+		if fm := sv.feed.fm; fm != nil {
+			w.faults.Accumulate(fm.Stats())
 		}
 	}
 	if w.reg != nil {
@@ -139,36 +137,24 @@ func (w *shardWorker) admit(server int, r Routed) {
 		} else {
 			sink = w.acc
 		}
-		kcfg, gcfg := obsConfigs(w.cfg.Kernel, w.cfg.Ghost, w.cfg.Obs, server)
-		policy := w.policies[server]
-		wrapped := w.cfg.Obs.WrapSink(server, sink)
+		var fm *faults.Machine
 		if w.cfg.Faults.Enabled() {
-			// Same interposition as RunStreamedServer: the machine sits
-			// between the retirer and the policy, and on the record path.
-			sv.fm = faults.NewMachine(w.cfg.Faults, server)
-			var err error
-			if policy, err = sv.fm.WrapPolicy(policy); err != nil {
-				w.err = err
-				return
-			}
-			wrapped = sv.fm.WrapSink(wrapped)
+			fm = faults.NewMachine(w.cfg.Faults, server)
 		}
-		inc, err := simrun.NewIncremental(kcfg, policy, gcfg, wrapped)
+		feed, policy, sink, err := newServerFeed(fm, w.policies[server], w.cfg.Obs.WrapSink(server, sink))
 		if err != nil {
 			w.err = err
 			return
 		}
-		sv.inc = inc
-		if sv.fm != nil {
-			pool := inc.Pool()
-			sv.fm.SetRecycle(func(t *simkern.Task) { pool.Put(t) })
+		kcfg, gcfg := obsConfigs(w.cfg.Kernel, w.cfg.Ghost, w.cfg.Obs, server)
+		if sv.inc, err = simrun.NewIncremental(kcfg, policy, gcfg, sink, feed.recycle); err != nil {
+			w.err = err
+			return
 		}
+		sv.feed = feed
 		w.servers[local] = sv
 	}
-	t := r.applyColdStart(sv.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
-	if sv.fm != nil {
-		sv.fm.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
-	}
+	t := sv.feed.task(r)
 	if err := sv.inc.Admit(t); err != nil {
 		w.err = err
 		return
@@ -228,7 +214,7 @@ type ShardedReplay struct {
 // the workload length — this is the entry point for the 1,000-server
 // ×10-volume multi-day replays.
 func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tariff, width time.Duration) (*ShardedReplay, error) {
-	workers, invocations, _, rfStats, err := runSharded(cfg, src, false, tariff, width)
+	workers, invocations, _, rfStats, err := runSharded(&cfg, src, false, tariff, width)
 	if err != nil {
 		return nil, err
 	}
@@ -263,13 +249,12 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 }
 
 // SimulateShardedExact streams src through a sharded fleet with an exact
-// per-server record Set, returning the same Result shape as Simulate —
-// records merged across shards and re-sorted by global invocation id, so
-// the output is bit-for-bit identical to the flat paths for any shard
-// count. This is the equivalence-test mode; it holds every record in
-// memory, so use the windowed entry point for long horizons.
+// per-server record Set: records merged across shards and re-sorted by
+// global invocation id, so the output is bit-for-bit identical for any
+// shard count. Simulate is this run over a slice. It holds every record
+// in memory, so use the windowed entry point for long horizons.
 func SimulateShardedExact(cfg Config, src workload.Source) (*Result, error) {
-	workers, _, assignment, rfStats, err := runSharded(cfg, src, true, pricing.Tariff{}, 0)
+	workers, _, assignment, rfStats, err := runSharded(&cfg, src, true, pricing.Tariff{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -303,6 +288,9 @@ func SimulateShardedExact(cfg Config, src workload.Source) (*Result, error) {
 			sr.Preemptions = sr.Set.TotalPreemptions()
 			sr.Stats = sv.inc.Stats()
 			sr.Events = sv.inc.Events()
+			if fm := sv.feed.fm; fm != nil {
+				sr.Faults = fm.Stats()
+			}
 			res.Preemptions += sr.Preemptions
 			res.Set.Records = append(res.Set.Records, sr.Set.Records...)
 		}
@@ -313,49 +301,40 @@ func SimulateShardedExact(cfg Config, src workload.Source) (*Result, error) {
 	return res, nil
 }
 
-// runSharded is the shared router + shard-worker engine. It returns the
-// finished workers (in shard order), the total invocation count, and the
-// per-invocation assignment (exact mode only).
-func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) ([]*shardWorker, int, []int, faults.Stats, error) {
-	if cfg.Servers < 1 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
+// runSharded is the shared router + shard-worker engine. It validates and
+// defaults *cfg, then returns the finished workers (in shard order), the
+// total invocation count, the per-invocation assignment (exact mode
+// only), and the router-side fault counters.
+func runSharded(cfg *Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) ([]*shardWorker, int, []int, faults.Stats, error) {
+	fail := func(err error) ([]*shardWorker, int, []int, faults.Stats, error) {
+		return nil, 0, nil, faults.Stats{}, err
 	}
-	if cfg.Policy == nil {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: nil Policy factory")
-	}
-	if cfg.Kernel.Cores < 1 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
+	if err := cfg.validate(); err != nil {
+		return fail(err)
 	}
 	if src == nil {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: nil workload source")
-	}
-	if cfg.Dispatch == "" {
-		cfg.Dispatch = DispatchLeastLoaded
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Window < 0 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: negative look-ahead window %v", cfg.Window)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, 0, nil, faults.Stats{}, err
+		return fail(fmt.Errorf("cluster: nil workload source"))
 	}
 	chunk := cfg.Window
 	if chunk == 0 {
 		chunk = simrun.DefaultWindow
 	}
-	shards, _, err := shardPlan(cfg.Servers, cfg.Shards, cfg.Workers)
+	shards, err := shardPlan(cfg.Servers, cfg.Shards, cfg.Workers)
 	if err != nil {
-		return nil, 0, nil, faults.Stats{}, err
+		return fail(err)
 	}
+	router, err := NewRouter(cfg.Servers, cfg.Kernel.Cores, cfg.Dispatch, cfg.Seed, cfg.ColdStart, cfg.Obs.Registry())
+	if err != nil {
+		return fail(err)
+	}
+	rf := newRouteFaults(cfg.Faults, router, cfg.Obs.Tracer())
 
 	// Policies are built sequentially up front so factories need not be
-	// goroutine-safe, exactly as on the flat path.
+	// goroutine-safe.
 	policies := make([]ghost.Policy, cfg.Servers)
 	for s := range policies {
 		if policies[s] = cfg.Policy(); policies[s] == nil {
-			return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
+			return fail(fmt.Errorf("cluster: Policy factory returned nil for server %d", s))
 		}
 	}
 
@@ -364,7 +343,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	done := make(chan struct{})
 	for i, rg := range shards {
 		w := &shardWorker{
-			cfg:      &cfg,
+			cfg:      cfg,
 			shard:    i,
 			lo:       rg[0],
 			hi:       rg[1],
@@ -378,7 +357,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		}
 		if !exact {
 			if w.acc, err = metrics.NewWindowedAccumulator(tariff, width); err != nil {
-				return nil, 0, nil, faults.Stats{}, err
+				return fail(err)
 			}
 		}
 		for s := rg[0]; s < rg[1]; s++ {
@@ -389,50 +368,16 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	for _, w := range workers {
 		go w.run(done)
 	}
-	closeAll := func() {
-		for _, w := range workers {
-			close(w.ch)
-		}
-		for range workers {
-			<-done
-		}
-	}
 
-	// The router replicates Simulate's phase 1 exactly — dispatch over
-	// the causal fleet model, warm-pool bookings — just one arrival at a
-	// time instead of over a materialized slice.
-	model := NewFleetModel(cfg.Servers, cfg.Kernel.Cores)
-	disp, err := NewDispatcher(cfg.Dispatch, cfg.Seed, model)
-	if err != nil {
-		closeAll()
-		return nil, 0, nil, faults.Stats{}, err
-	}
-	var pools *WarmPools
-	if cfg.ColdStart.Enabled() {
-		pools = NewWarmPools(cfg.ColdStart, cfg.Servers)
-		if cfg.ColdStart.WarmFirst {
-			disp = WarmFirstDispatcher(disp, pools, model)
-		}
-	}
-	candidates := make([]int, cfg.Servers)
-	for s := range candidates {
-		candidates[s] = s
-	}
-	rf := newRouteFaults(cfg.Faults, cfg.Servers, model, pools, cfg.Obs.Tracer())
-
-	// Router-side observation: watermark/cold-start tallies and progress
-	// live on this single goroutine, so they are shard-count invariant
-	// by construction; per-server enclave counters fold in via the shard
+	// Router-side observation: watermark tallies and progress live on
+	// this single goroutine, so they are shard-count invariant by
+	// construction; per-server enclave counters fold in via the shard
 	// registries instead.
 	tr := cfg.Obs.Tracer()
 	pg := cfg.Obs.Progress()
-	var wmCount, warmHits, coldMisses *obs.Counter
+	var wmCount *obs.Counter
 	if reg := cfg.Obs.Registry(); reg != nil {
 		wmCount = reg.Counter(obs.CWatermarks)
-		if pools != nil {
-			warmHits = reg.Counter(obs.CColdWarmHits)
-			coldMisses = reg.Counter(obs.CColdMisses)
-		}
 	}
 
 	var assignment []int
@@ -461,67 +406,40 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			}
 			nextMark += chunk
 		}
-		cand := candidates
-		if rf != nil {
-			cand = rf.route(inv.Arrival)
-		}
-		var s int
-		if rf != nil && len(cand) == 0 {
-			s = rf.fallback()
-		} else {
-			s = disp.Pick(inv, cand)
-		}
-		if s < 0 || s >= cfg.Servers {
-			routeErr = fmt.Errorf("cluster: dispatch %q picked server %d of %d", cfg.Dispatch, s, cfg.Servers)
+		cand, fallback := rf.route(inv.Arrival)
+		r, s, _, err := router.Route(inv, idx, cand, fallback)
+		if err != nil {
+			routeErr = err
 			return false
-		}
-		var slow time.Duration
-		if rf != nil {
-			slow = rf.slow(s, inv.Arrival, inv.Duration)
-		}
-		var cold time.Duration
-		if pools == nil {
-			model.AssignDemand(s, inv.Arrival, inv.Duration+slow)
-		} else {
-			if pools.IsCold(s, inv, inv.Arrival) {
-				cold = cfg.ColdStart.Latency
-			}
-			finish := model.AssignDemand(s, inv.Arrival, inv.Duration+cold+slow)
-			pools.Book(s, inv, inv.Arrival, finish, cold > 0)
-			if cold > 0 {
-				if coldMisses != nil {
-					coldMisses.Inc()
-				}
-			} else if warmHits != nil {
-				warmHits.Inc()
-			}
 		}
 		if exact {
 			assignment = append(assignment, s)
 		}
-		workers[serverShard[s]].ch <- shardMsg{r: Routed{Inv: inv, Idx: idx, ColdStart: cold, Slow: slow}, server: s}
+		workers[serverShard[s]].ch <- shardMsg{r: r, server: s}
 		idx++
 		if pg != nil {
 			pg.Routed.Add(1)
 		}
 		return true
 	})
-	closeAll()
+	for _, w := range workers {
+		close(w.ch)
+	}
+	for range workers {
+		<-done
+	}
 	if routeErr != nil {
-		return nil, 0, nil, faults.Stats{}, routeErr
+		return fail(routeErr)
 	}
 	if idx == 0 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: empty workload")
+		return fail(fmt.Errorf("cluster: empty workload"))
 	}
 	for _, w := range workers {
 		if w.err != nil {
-			return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: shard %d (servers %d-%d): %w", w.shard, w.lo, w.hi-1, w.err)
+			return fail(fmt.Errorf("cluster: shard %d (servers %d-%d): %w", w.shard, w.lo, w.hi-1, w.err))
 		}
 	}
-	var rfStats faults.Stats
-	if rf != nil {
-		rfStats = rf.stats()
-	}
+	rfStats := rf.stats()
 	if reg := cfg.Obs.Registry(); reg != nil {
 		regs := make([]*obs.Registry, len(workers))
 		for i, w := range workers {
@@ -529,7 +447,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		}
 		reg.Merge(obs.MergeRegistryTree(regs))
 		reg.Counter(obs.CInvocations).Add(int64(idx))
-		if rf != nil {
+		if cfg.Faults.Enabled() {
 			reg.Counter(obs.CFaultCrashes).Add(rfStats.Crashes)
 			reg.Counter(obs.CFaultStragglers).Add(rfStats.StragglerWindows)
 		}

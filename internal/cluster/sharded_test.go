@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/faassched/faassched/internal/ghost"
+	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/trace"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -53,31 +56,35 @@ func TestShardRanges(t *testing.T) {
 }
 
 func TestShardPlanValidation(t *testing.T) {
-	if _, _, err := shardPlan(4, -1, 0); err == nil {
+	if _, err := shardPlan(4, -1, 0); err == nil {
 		t.Error("negative shards accepted")
 	}
-	if _, _, err := shardPlan(4, 0, -1); err == nil {
+	if _, err := shardPlan(4, 0, -1); err == nil {
 		t.Error("negative workers accepted")
 	}
-	ranges, workers, err := shardPlan(8, 0, 2)
+	ranges, err := shardPlan(8, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranges) != 8 || workers != 2 { // 4×workers, capped at servers
-		t.Errorf("shardPlan(8,0,2) = %d ranges, %d workers", len(ranges), workers)
+	if len(ranges) != 8 { // 4×workers, capped at servers
+		t.Errorf("shardPlan(8,0,2) = %d ranges, want 8", len(ranges))
 	}
-	ranges, workers, err = shardPlan(3, 16, 16)
+	if ranges, err = shardPlan(12, 0, 2); err != nil || len(ranges) != 8 { // 4×workers
+		t.Errorf("shardPlan(12,0,2) = %d ranges (err %v), want 8", len(ranges), err)
+	}
+	ranges, err = shardPlan(3, 16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranges) != 3 || workers != 3 { // both capped at servers
-		t.Errorf("shardPlan(3,16,16) = %d ranges, %d workers", len(ranges), workers)
+	if len(ranges) != 3 { // capped at servers
+		t.Errorf("shardPlan(3,16,16) = %d ranges, want 3", len(ranges))
 	}
 }
 
 // TestShardedExactMatchesFlat is the lockstep engine's determinism bar:
-// for every dispatch policy, shard count, and worker bound, the sharded
-// streaming run must reproduce the flat fleet's records, routing, and
+// for every dispatch policy, shard count, and worker bound, the lockstep
+// run — through Simulate and through SimulateShardedExact — must
+// reproduce the materialized reference fleet's records, routing, and
 // per-server shape bit for bit.
 func TestShardedExactMatchesFlat(t *testing.T) {
 	invs := synthWorkload(300, time.Millisecond, 20*time.Millisecond)
@@ -90,11 +97,17 @@ func TestShardedExactMatchesFlat(t *testing.T) {
 			flatCfg := testConfig(5, d)
 			flatCfg.Policy = mk.factory
 			flatCfg.Seed = 1
+			want := materializedFleet(t, flatCfg, invs)
+			flat, err := Simulate(flatCfg, invs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFleet(t, fmt.Sprintf("%s/%s/flat", d, mk.name), want, flat)
 			for _, shards := range []int{1, 3, 7} {
 				for _, workers := range []int{1, 3} {
 					cfg := flatCfg
 					cfg.Shards, cfg.Workers = shards, workers
-					checkShardedExact(t, fmt.Sprintf("%s/%s/shards=%d/workers=%d", d, mk.name, shards, workers), flatCfg, cfg, invs)
+					checkShardedExact(t, fmt.Sprintf("%s/%s/shards=%d/workers=%d", d, mk.name, shards, workers), want, cfg, invs)
 				}
 			}
 		}
@@ -102,8 +115,8 @@ func TestShardedExactMatchesFlat(t *testing.T) {
 	// Watermarks far shorter than the traffic's idle gaps: a server can
 	// drain between two watermarks while its next arrival is still with
 	// the router. Its agent tick, sampler and monitor must then stay on
-	// the grid the flat run keeps (the kernel's arrivals-pending flag,
-	// DESIGN.md §7), or CFS re-phases its slice ticks.
+	// the grid the materialized run keeps (the kernel's arrivals-pending
+	// flag, DESIGN.md §7), or CFS re-phases its slice ticks.
 	for _, seed := range []int64{1, 7} {
 		invs := tracedWorkload(t, seed)
 		flatCfg := Config{
@@ -113,11 +126,12 @@ func TestShardedExactMatchesFlat(t *testing.T) {
 			Policy:   cfsFactory,
 			Seed:     seed,
 		}
+		want := materializedFleet(t, flatCfg, invs)
 		for _, window := range []time.Duration{time.Second, 2 * time.Second} {
 			cfg := flatCfg
 			cfg.Shards, cfg.Workers, cfg.Window = 1, 1, window
 			name := fmt.Sprintf("traced/seed=%d/cfs/window=%v", seed, window)
-			t.Run(name, func(t *testing.T) { checkShardedExact(t, name, flatCfg, cfg, invs) })
+			t.Run(name, func(t *testing.T) { checkShardedExact(t, name, want, cfg, invs) })
 		}
 	}
 }
@@ -140,41 +154,105 @@ func tracedWorkload(t *testing.T, seed int64) []workload.Invocation {
 	return workload.Sample(invs, 400)
 }
 
-// checkShardedExact runs invs flat under flatCfg and lockstep-sharded
-// under cfg, and requires records, routing and per-server shape to match
-// bit for bit.
-func checkShardedExact(t *testing.T, name string, flatCfg, cfg Config, invs []workload.Invocation) {
+// materializedFleet is the reference the lockstep engine is checked
+// against. It routes every invocation up front with the Router (all
+// servers candidates), then replays each server's assigned share on the
+// single-machine materialized runner — pre-seeded tasks with ID
+// index+1, simrun.ExecStats, metrics.Collect — and merges the records
+// by ID. No share ever meets the lockstep watermarks or task pools.
+func materializedFleet(t *testing.T, cfg Config, invs []workload.Invocation) *Result {
 	t.Helper()
-	flat, err := Simulate(flatCfg, invs)
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter(cfg.Servers, cfg.Kernel.Cores, cfg.Dispatch, cfg.Seed, cfg.ColdStart, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	candidates := make([]int, cfg.Servers)
+	for s := range candidates {
+		candidates[s] = s
+	}
+	res := &Result{
+		Dispatch:   cfg.Dispatch,
+		Servers:    cfg.Servers,
+		PerServer:  make([]ServerResult, cfg.Servers),
+		Assignment: make([]int, len(invs)),
+	}
+	shares := make([][]*simkern.Task, cfg.Servers)
+	for i, inv := range invs {
+		r, s, _, err := router.Route(inv, i, candidates, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Assignment[i] = s
+		shares[s] = append(shares[s], r.applyColdStart(workload.Task(inv, simkern.TaskID(i+1))))
+	}
+	policies := make([]ghost.Policy, cfg.Servers)
+	for s := range policies {
+		policies[s] = cfg.Policy()
+	}
+	for s, tasks := range shares {
+		sr := &res.PerServer[s]
+		sr.Server, sr.Invocations = s, len(tasks)
+		if len(tasks) == 0 {
+			continue
+		}
+		k, err := simrun.ExecStats(cfg.Kernel, policies[s], cfg.Ghost, simrun.AddTasks(tasks), &sr.Stats)
+		if err != nil {
+			t.Fatalf("reference server %d: %v", s, err)
+		}
+		sr.Set = metrics.Collect(k)
+		sr.Makespan = k.Makespan()
+		sr.Events = k.EventSeq()
+		sr.Preemptions = sr.Set.TotalPreemptions()
+		res.Set.Records = append(res.Set.Records, sr.Set.Records...)
+		res.Preemptions += sr.Preemptions
+		res.Stats.Accumulate(sr.Stats)
+		res.Events += sr.Events
+		res.Makespan = max(res.Makespan, sr.Makespan)
+	}
+	sort.Slice(res.Set.Records, func(i, j int) bool { return res.Set.Records[i].ID < res.Set.Records[j].ID })
+	return res
+}
+
+// checkShardedExact runs invs lockstep-sharded under cfg and requires the
+// result to match want.
+func checkShardedExact(t *testing.T, name string, want *Result, cfg Config, invs []workload.Invocation) {
+	t.Helper()
 	got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if len(got.Set.Records) != len(flat.Set.Records) {
-		t.Fatalf("%s: %d records, flat has %d", name, len(got.Set.Records), len(flat.Set.Records))
+	checkFleet(t, name, want, got)
+}
+
+// checkFleet requires records, routing and per-server shape to match bit
+// for bit.
+func checkFleet(t *testing.T, name string, want, got *Result) {
+	t.Helper()
+	if len(got.Set.Records) != len(want.Set.Records) {
+		t.Fatalf("%s: %d records, reference has %d", name, len(got.Set.Records), len(want.Set.Records))
 	}
-	for i := range flat.Set.Records {
-		if got.Set.Records[i] != flat.Set.Records[i] {
-			t.Fatalf("%s: record %d differs:\nsharded %+v\nflat    %+v",
-				name, i, got.Set.Records[i], flat.Set.Records[i])
+	for i := range want.Set.Records {
+		if got.Set.Records[i] != want.Set.Records[i] {
+			t.Fatalf("%s: record %d differs:\ngot       %+v\nreference %+v",
+				name, i, got.Set.Records[i], want.Set.Records[i])
 		}
 	}
-	if got.Makespan != flat.Makespan || got.Preemptions != flat.Preemptions {
+	if got.Makespan != want.Makespan || got.Preemptions != want.Preemptions {
 		t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
-			name, got.Makespan, flat.Makespan, got.Preemptions, flat.Preemptions)
+			name, got.Makespan, want.Makespan, got.Preemptions, want.Preemptions)
 	}
-	for i := range flat.Assignment {
-		if got.Assignment[i] != flat.Assignment[i] {
-			t.Fatalf("%s: invocation %d routed to server %d, flat routed to %d",
-				name, i, got.Assignment[i], flat.Assignment[i])
+	for i := range want.Assignment {
+		if got.Assignment[i] != want.Assignment[i] {
+			t.Fatalf("%s: invocation %d routed to server %d, reference routed to %d",
+				name, i, got.Assignment[i], want.Assignment[i])
 		}
 	}
-	for s := range flat.PerServer {
-		fs, gs := flat.PerServer[s], got.PerServer[s]
-		if gs.Invocations != fs.Invocations || gs.Makespan != fs.Makespan || gs.Preemptions != fs.Preemptions {
+	for s := range want.PerServer {
+		ws, gs := want.PerServer[s], got.PerServer[s]
+		if gs.Invocations != ws.Invocations || gs.Makespan != ws.Makespan || gs.Preemptions != ws.Preemptions {
 			t.Errorf("%s: server %d shape differs", name, s)
 		}
 	}
@@ -243,9 +321,9 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedColdStartMatchesFlat: the router replicates the flat path's
-// warm-pool bookkeeping, so the cold-start model must survive sharding
-// unchanged (same cold-start flags on every record).
+// TestShardedColdStartMatchesFlat: the cold-start model must survive the
+// lockstep run unchanged — same cold-start flags on every record as the
+// materialized reference, flat and sharded.
 func TestShardedColdStartMatchesFlat(t *testing.T) {
 	invs := synthWorkload(200, 2*time.Millisecond, 10*time.Millisecond)
 	for i := range invs {
@@ -254,24 +332,15 @@ func TestShardedColdStartMatchesFlat(t *testing.T) {
 	cfg := testConfig(3, DispatchLeastLoaded)
 	cfg.Seed = 1
 	cfg.ColdStart = ColdStartConfig{Latency: 5 * time.Millisecond, KeepAlive: 30 * time.Millisecond, WarmFirst: true}
+	want := materializedFleet(t, cfg, invs)
+	if want.Set.ColdStarts() == 0 {
+		t.Fatal("reference run has no cold starts; test is vacuous")
+	}
 	flat, err := Simulate(cfg, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFleet(t, "flat", want, flat)
 	cfg.Shards, cfg.Workers = 3, 2
-	got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Set.ColdStarts() == 0 {
-		t.Fatal("flat run has no cold starts; test is vacuous")
-	}
-	if got.Set.ColdStarts() != flat.Set.ColdStarts() {
-		t.Fatalf("sharded cold starts %d, flat %d", got.Set.ColdStarts(), flat.Set.ColdStarts())
-	}
-	for i := range flat.Set.Records {
-		if got.Set.Records[i] != flat.Set.Records[i] {
-			t.Fatalf("record %d differs under the cold-start model", i)
-		}
-	}
+	checkShardedExact(t, "shards=3", want, cfg, invs)
 }

@@ -97,7 +97,6 @@ func ExtFaults(e *Env) (*Figure, error) {
 			Servers:  servers,
 			Dispatch: cluster.DispatchLeastLoaded,
 			Seed:     e.Seed,
-			Streamed: true,
 			Faults:   plan.cfg,
 			Kernel:   simkern.DefaultConfig(coresPer),
 			Policy:   sched.factory,

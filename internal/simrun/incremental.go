@@ -20,7 +20,6 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/workload"
 )
 
 // Incremental is one machine under external admission control. It is not
@@ -29,16 +28,15 @@ import (
 type Incremental struct {
 	k    *simkern.Kernel
 	enc  *ghost.Enclave
-	pool *workload.TaskPool
 	name string
 }
 
 // NewIncremental builds a task-discarding kernel with policy attached
 // through a delegation enclave wrapped with the sink retirer (completed
-// tasks are measured into sink and recycled into the machine's pool).
-// The ExecStream precondition carries over: the policy must not use
-// Env.AbortTask.
-func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, sink metrics.Sink) (*Incremental, error) {
+// tasks are measured into sink, then handed to recycle when it is
+// non-nil). The ExecStream precondition carries over: the policy must not
+// use Env.AbortTask.
+func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, sink metrics.Sink, recycle func(*simkern.Task)) (*Incremental, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("simrun: NewIncremental needs a Sink")
 	}
@@ -47,18 +45,13 @@ func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
 	if err != nil {
 		return nil, err
 	}
-	pool := workload.NewTaskPool()
-	enc, err := ghost.NewEnclave(k, &retirer{inner: policy, sink: sink, recycle: func(t *simkern.Task) { pool.Put(t) }}, gcfg)
+	enc, err := ghost.NewEnclave(k, &retirer{inner: policy, sink: sink, recycle: recycle}, gcfg)
 	if err != nil {
 		return nil, err
 	}
 	k.SetArrivalsPending(true)
-	return &Incremental{k: k, enc: enc, pool: pool, name: policy.Name()}, nil
+	return &Incremental{k: k, enc: enc, name: policy.Name()}, nil
 }
-
-// Pool returns the machine's task pool; draw admitted tasks from it so
-// retirement recycles them.
-func (inc *Incremental) Pool() *workload.TaskPool { return inc.pool }
 
 // Admit hands one task to the machine. Arrivals must be non-decreasing
 // and at or after the last RunTo watermark.

@@ -36,6 +36,14 @@
 # than 2x the allocs/op of /fifo. Allocation counts are deterministic,
 # so the gate does not flap; a per-requeue allocation shows up as >10x.
 #
+# Gate 5 — fleets stream, they do not materialize (DESIGN.md §11): every
+# fixed fleet runs on the lockstep engine, which admits each routed
+# arrival from a per-server task pool instead of building per-server
+# shares. Fails if any BenchmarkColdStartDispatch row reports more than
+# 3 allocs/op per simulated invocation (its own "invocations" metric);
+# the lockstep engine needs about 1.5-2.4, per-server materialized
+# shares about 3.2-4.
+#
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
 set -e
@@ -82,6 +90,27 @@ printf '%s\n' "$facade" | awk '
       if (ratio > 2) bad = 1
     }
     if (bad) { print "bench_smoke: CFS preemption churn allocates — per-requeue allocation?"; exit 1 }
+  }'
+
+cold=$(go test -run '^$' -bench 'BenchmarkColdStartDispatch' -benchtime 3x .)
+printf '%s\n' "$cold"
+
+printf '%s\n' "$cold" | awk '
+  /^BenchmarkColdStartDispatch\// {
+    allocs = ""; invs = ""
+    for (i = 1; i < NF; i++) {
+      if ($(i+1) == "allocs/op") allocs = $i
+      if ($(i+1) == "invocations") invs = $i
+    }
+    if (allocs == "" || invs + 0 == 0) { printf "bench_smoke: %s reports no allocs/op or invocations\n", $1; exit 1 }
+    n++
+    per = allocs / invs
+    printf "bench_smoke: %s allocs/op per invocation %.2f (max 3)\n", $1, per
+    if (per > 3) bad = 1
+  }
+  END {
+    if (n == 0) { print "bench_smoke: no ColdStartDispatch rows for the fleet allocation gate"; exit 1 }
+    if (bad) { print "bench_smoke: fixed fleet allocates per invocation like materialized shares"; exit 1 }
   }'
 
 if [ ! -f BENCH_baseline.json ]; then

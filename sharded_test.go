@@ -1,11 +1,11 @@
 package faassched
 
-// Sharded execution must be invisible: the worker-pool fleet (Shards /
-// Workers on ClusterOptions) and the lockstep sharded replay must
+// Sharded execution must be invisible: the lockstep fleet (Shards /
+// Workers on ClusterOptions) and the sharded windowed replay must
 // reproduce the UNCHANGED committed golden digests — the same bytes the
 // flat one-goroutine-per-server implementation pinned — at every shard
-// count, through both dataflows. If sharding ever perturbs a single
-// event ordering, these digests catch it.
+// count. If sharding ever perturbs a single event ordering, these digests
+// catch it.
 
 import (
 	"encoding/json"
@@ -31,9 +31,8 @@ func committedDigests(t *testing.T) map[string]string {
 
 // TestShardedMergeMatchesFlat runs the fleet half of the golden matrix
 // with sharding enabled — shard counts 1, 3, and 7 over the 3-server
-// fleet, a 2-worker pool, both the materialized and the streamed
-// dataflow — and requires every digest to equal the committed flat
-// digest bit for bit.
+// fleet with Workers 2 — and requires every digest to equal the committed
+// flat digest bit for bit.
 func TestShardedMergeMatchesFlat(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
@@ -49,29 +48,23 @@ func TestShardedMergeMatchesFlat(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 3, 7} {
-		for _, streamed := range []bool{false, true} {
-			flow := "materialized"
-			if streamed {
-				flow = "streamed"
-			}
-			for _, d := range Dispatches() {
-				check("cluster/hybrid/"+string(d),
-					fmt.Sprintf("%s/hybrid/%s/shards=%d", flow, d, shards),
-					ClusterOptions{
-						Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid,
-						Seed: 1, Streamed: streamed, Shards: shards, Workers: 2,
-					})
-			}
-			check("cluster/cfs/least-loaded",
-				fmt.Sprintf("%s/cfs/least-loaded/shards=%d", flow, shards),
+		for _, d := range Dispatches() {
+			check("cluster/hybrid/"+string(d),
+				fmt.Sprintf("hybrid/%s/shards=%d", d, shards),
 				ClusterOptions{
-					Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS,
-					Seed: 1, Streamed: streamed, Shards: shards, Workers: 2,
+					Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid,
+					Seed: 1, Shards: shards, Workers: 2,
 				})
 		}
+		check("cluster/cfs/least-loaded",
+			fmt.Sprintf("cfs/least-loaded/shards=%d", shards),
+			ClusterOptions{
+				Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS,
+				Seed: 1, Shards: shards, Workers: 2,
+			})
 		// The fault seam threaded with an empty plan (Instrument: true —
-		// machines, routing hooks, and the forced streamed dataflow all
-		// live) must leave every sharded digest untouched (DESIGN.md §14).
+		// machines and routing hooks live) must leave every sharded digest
+		// untouched (DESIGN.md §14).
 		for _, d := range Dispatches() {
 			check("cluster/hybrid/"+string(d),
 				fmt.Sprintf("instrumented/hybrid/%s/shards=%d", d, shards),

@@ -164,31 +164,3 @@ func TestStreamedFirecrackerMatchesMaterialized(t *testing.T) {
 		}
 	}
 }
-
-// TestSimulateClusterStreamed: the public fleet API's streamed mode must
-// match the materialized fleet bit for bit.
-func TestSimulateClusterStreamed(t *testing.T) {
-	t.Parallel()
-	invs := smallWorkload(t)
-	opts := ClusterOptions{Servers: 3, CoresPerServer: 4, Scheduler: SchedulerHybrid, Seed: 1}
-	mat, err := SimulateCluster(opts, invs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Streamed = true
-	st, err := SimulateCluster(opts, invs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Set.Records) != len(mat.Set.Records) {
-		t.Fatalf("streamed fleet %d records, materialized %d", len(st.Set.Records), len(mat.Set.Records))
-	}
-	for i := range mat.Set.Records {
-		if st.Set.Records[i] != mat.Set.Records[i] {
-			t.Fatalf("fleet record %d differs", i)
-		}
-	}
-	if st.Makespan != mat.Makespan || st.ImbalanceRatio() != mat.ImbalanceRatio() {
-		t.Error("fleet aggregates differ")
-	}
-}

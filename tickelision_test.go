@@ -124,8 +124,9 @@ func oracleFirecracker(t *testing.T, policy ghost.Policy, invs []Invocation, mem
 }
 
 // oracleFaulty runs invs through a 3-server fleet under a crash + timeout
-// + retry plan — flat (each server on the streamed dataflow the plan
-// forces) or lockstep-sharded — and returns the fleet result.
+// + retry plan — through Simulate (the lockstep run at its default shard
+// count) or SimulateShardedExact at three shards — and returns the fleet
+// result.
 func oracleFaulty(t *testing.T, mk func() ghost.Policy, invs []Invocation, sharded, force bool) *cluster.Result {
 	t.Helper()
 	cfg := cluster.Config{
