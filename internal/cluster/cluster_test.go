@@ -256,3 +256,26 @@ func TestEmptyServerTolerated(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamedMatchesMaterialized: every dispatch policy must produce
+// bit-for-bit identical fleet results whether servers stream their share
+// through lazy admission with per-server sinks (Simulate, here with a
+// small watermark window so each server sees many chunks) or replay it
+// pre-seeded on the materialized single-machine runner — the
+// cluster-layer half of the streaming equivalence guarantee.
+func TestStreamedMatchesMaterialized(t *testing.T) {
+	invs := synthWorkload(400, 3*time.Millisecond, 9*time.Millisecond)
+	for _, d := range Dispatches() {
+		t.Run(string(d), func(t *testing.T) {
+			cfg := testConfig(3, d)
+			cfg.Policy = func() ghost.Policy { return cfs.New(cfs.Params{}) }
+			want := materializedFleet(t, cfg, invs)
+			cfg.Window = 50 * time.Millisecond
+			got, err := Simulate(cfg, invs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFleet(t, string(d), want, got)
+		})
+	}
+}

@@ -164,3 +164,34 @@ func TestStreamedFirecrackerMatchesMaterialized(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateClusterStreamed: the public fleet API streams each server's
+// share through lazy admission; on a one-server fleet, where routing has
+// no choice to make, it must match the materialized single-machine
+// Simulate bit for bit.
+func TestSimulateClusterStreamed(t *testing.T) {
+	t.Parallel()
+	invs := smallWorkload(t)
+	for _, sched := range []Scheduler{SchedulerCFS, SchedulerFIFO, SchedulerHybrid} {
+		mat, err := Simulate(Options{Cores: 4, Scheduler: sched}, invs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := SimulateCluster(ClusterOptions{Servers: 1, CoresPerServer: 4, Scheduler: sched, Seed: 1}, invs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Set.Records) != len(mat.Set.Records) {
+			t.Fatalf("%s: streamed fleet %d records, materialized %d", sched, len(st.Set.Records), len(mat.Set.Records))
+		}
+		for i := range mat.Set.Records {
+			if st.Set.Records[i] != mat.Set.Records[i] {
+				t.Fatalf("%s: fleet record %d differs:\nstreamed     %+v\nmaterialized %+v",
+					sched, i, st.Set.Records[i], mat.Set.Records[i])
+			}
+		}
+		if st.Makespan != mat.Makespan || st.Preemptions != mat.Preemptions {
+			t.Errorf("%s: fleet aggregates differ", sched)
+		}
+	}
+}
