@@ -233,7 +233,7 @@ func BenchmarkCFSSimulation(b *testing.B) {
 // stream with shortened durations (~119 ms mean, ~12 busy cores at the
 // 6,221/min calibrated rate) so a 16-core machine sustains it at ~77%
 // utilization. Sustainability is the point, not a dodge: the streaming
-// memory bound is O(active tasks + look-ahead window), and on an
+// memory bound is O(active tasks + one watermark window), and on an
 // overloaded box every task is active — no dataflow can bound that.
 // Long-horizon runs (ext-diurnal) are exactly the sustained-rate regime
 // this models.
@@ -269,7 +269,7 @@ func fullscaleWorkload(b *testing.B) []workload.Invocation {
 // task up front and Collects every record afterwards — allocs/op scales
 // with total invocations — while "streamed" feeds the same window through
 // lazy admission, task recycling, and a fixed-memory accumulator sink —
-// allocs/op is bounded by active tasks + the look-ahead window. The
+// allocs/op is bounded by active tasks + one watermark window. The
 // allocs/op ratio between the sub-benchmarks is the memory win the
 // streaming dataflow exists for (BENCH_baseline.json records it;
 // peak_tasks reports the pool high-water mark).
@@ -298,8 +298,8 @@ func BenchmarkStreamedFullscale(b *testing.B) {
 			pool := workload.NewTaskPool()
 			src, stop := simrun.PooledTasks(workload.SliceSource(invs), pool)
 			acc := metrics.NewAccumulator(pricing.Default())
-			// A 5 s look-ahead (vs the 30 s default) makes the window term
-			// of the O(active + look-ahead) bound visible at this rate.
+			// A 5 s watermark window (vs the 30 s default) makes the window
+			// term of the O(active + window) bound visible at this rate.
 			_, err := simrun.ExecStream(kcfg, fifoPolicy(), ghost.Config{}, src,
 				simrun.StreamConfig{Window: 5 * time.Second, Sink: acc, Recycle: func(t *simkern.Task) { pool.Put(t) }})
 			stop()

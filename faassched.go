@@ -347,7 +347,7 @@ func DurationModel() fib.DurationModel { return fib.DefaultModel() }
 // Source re-exports the lazy invocation stream: an iter.Seq-style
 // iterator yielding invocations in arrival order. Sources feed the
 // streaming simulation entry points, which keep peak memory proportional
-// to active tasks plus a bounded look-ahead window instead of the total
+// to active tasks plus one watermark window of arrivals instead of the total
 // invocation count — the difference between a two-minute snapshot and a
 // multi-hour diurnal horizon.
 type Source = workload.Source
@@ -476,7 +476,7 @@ func (s *StreamStats) Summary() string {
 
 // SimulateAccumulated runs src through the streaming dataflow with the
 // fixed-memory accumulator sink: peak memory is O(active tasks +
-// look-ahead window) no matter how long the workload runs. This is the
+// watermark window) no matter how long the workload runs. This is the
 // entry point behind the multi-hour ext-diurnal experiment.
 func SimulateAccumulated(opts Options, src Source) (*StreamStats, error) {
 	opts, policy, err := streamOpts(opts)
@@ -1044,7 +1044,7 @@ func (s *AutoscaleStats) Summary() string {
 }
 
 // SimulateAutoscaled runs src through the elastic fleet with fixed-memory
-// windowed sinks: peak memory is O(active tasks + look-ahead window +
+// windowed sinks: peak memory is O(active tasks + watermark window +
 // windows) no matter how long the workload runs, which is what lets the
 // diurnal horizon be sized by an elastic fleet at all. Per-server sinks
 // merge in server-index order, so results are deterministic for given

@@ -1,7 +1,8 @@
 // Package autoscale is the elastic sibling of internal/cluster: a
 // streaming dispatcher that consumes a workload.Source directly — no
 // materialized slice, no route-everything-first phase — and drives a
-// dynamic set of per-server simulation kernels. Servers are launched when
+// dynamic set of per-server machines on the fixed fleet's lockstep
+// executor (cluster.Executor). Servers are launched when
 // a utilization or queue-depth signal crosses a scale-up threshold,
 // become routable only after a spin-up latency, and are retired by
 // draining: routing stops, in-flight tasks finish, then the server shuts
@@ -12,12 +13,13 @@
 // Determinism. The controller's decisions — routing, launches, drains —
 // depend only on the arrival stream and the dispatcher's causal lane
 // model (cluster.FleetModel), never on simulated server state, so they
-// are identical regardless of how the per-server goroutines interleave.
-// Scale events follow a fixed per-arrival ordering (activations due, then
-// routing, then scale-up, then scale-down); routing is cluster.Router, the
-// same per-arrival step the fixed fleet runs, and every per-server
-// simulation is cluster.RunStreamedServer, which admits tasks exactly as
-// the fixed fleet's lockstep servers do. An autoscaler pinned to
+// are identical regardless of how the shard workers interleave. Scale
+// events follow a fixed per-arrival ordering (watermarks below the
+// arrival, then activations due, then routing, then scale-up, then
+// scale-down); routing is cluster.Router, the same per-arrival step the
+// fixed fleet runs, and the controller drives the same executor the fixed
+// fleet does: activation opens a machine, routing admits to it, and a
+// drain or crash closes it. An autoscaler pinned to
 // Min = Max = N therefore reproduces cluster.Simulate results bit for
 // bit, which the golden digests prove. See DESIGN.md §8.
 package autoscale
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/faassched/faassched/internal/cluster"
@@ -41,11 +42,6 @@ import (
 // Never marks a lifecycle instant that has not happened (DrainAt on a
 // server alive at the end of the run).
 const Never = time.Duration(-1)
-
-// chanBuf is the per-server routing channel depth: enough to keep the
-// controller from stalling on a briefly busy server, small enough that
-// total buffered work stays a constant factor of the fleet size.
-const chanBuf = 256
 
 // Config configures an autoscaled fleet simulation.
 type Config struct {
@@ -82,9 +78,6 @@ type Config struct {
 	Sched func() ghost.Policy
 	// Ghost configures each server's delegation enclave.
 	Ghost ghost.Config
-	// Window overrides the streamed look-ahead half-window (zero means
-	// simrun.DefaultWindow).
-	Window time.Duration
 	// Sink, when non-nil, supplies each server's completion sink (called
 	// once per server at activation, in server-index order). When nil,
 	// every server records into an exact per-server metrics.Set, exposed
@@ -233,12 +226,6 @@ type Result struct {
 	TicksFired, TicksElided int64
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
-	// PoolWorkers is how many pooled worker goroutines hosted the
-	// per-server runs — bounded by the peak live fleet, not by total
-	// launches (retired servers' workers are reused). This is a host
-	// execution observable and may vary between identical runs; the
-	// simulated outcome never depends on it.
-	PoolWorkers int
 	// Assignment maps each invocation index to its server, when
 	// Config.TrackAssignment was set.
 	Assignment []int
@@ -351,59 +338,6 @@ func (r *Result) Timeline(maxSteps int) string {
 	return string(b)
 }
 
-// workerPool reuses goroutines across server lifetimes. A long elastic
-// replay launches far more servers than are ever live at once; spawning
-// a raw goroutine per launch therefore scales the host cost with churn,
-// not with the fleet. submit runs fn on an idle pooled worker when one
-// exists and spawns a new one otherwise, so the goroutine count is
-// bounded by the peak number of concurrently live servers (every live
-// server must keep a dedicated worker — its channel-fed run blocks — so
-// no smaller bound is deadlock-free). Simulation results are unaffected:
-// which worker hosts a server cannot be observed by the run.
-type workerPool struct {
-	mu      sync.Mutex
-	idle    []chan func()
-	all     []chan func()
-	spawned int
-}
-
-// submit schedules fn on a pooled worker, preferring an idle one.
-func (p *workerPool) submit(fn func()) {
-	p.mu.Lock()
-	var w chan func()
-	if n := len(p.idle); n > 0 {
-		w = p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-	} else {
-		w = make(chan func())
-		p.all = append(p.all, w)
-		p.spawned++
-		p.mu.Unlock()
-		go p.worker(w)
-	}
-	w <- fn
-}
-
-func (p *workerPool) worker(w chan func()) {
-	for fn := range w {
-		fn()
-		p.mu.Lock()
-		p.idle = append(p.idle, w)
-		p.mu.Unlock()
-	}
-}
-
-// close releases every pooled worker. Callers must not submit afterwards
-// and must have waited for all submitted work to finish.
-func (p *workerPool) close() {
-	p.mu.Lock()
-	for _, w := range p.all {
-		close(w)
-	}
-	p.mu.Unlock()
-}
-
 // countingSink wraps a server's completion sink with the bookkeeping the
 // controller needs regardless of what the caller collects.
 type countingSink struct {
@@ -427,47 +361,14 @@ func (c *countingSink) Push(r metrics.Record) {
 // serverState is a Server plus the controller's runtime handles.
 type serverState struct {
 	Server
-	ch        chan cluster.Routed
-	done      chan struct{}
-	started   bool
-	closed    bool
-	count     countingSink
-	err       error
-	simSpan   time.Duration // kernel makespan, read after done
-	tickStats ghost.Stats   // enclave delegation counters, read after done
-	events    uint64        // scheduled kernel events, read after done
+	// m is the server's executor machine, opened at activation (nil for a
+	// boot canceled before it).
+	m     *cluster.Machine
+	count countingSink
 	// crashAt is the slot's terminal crash instant from the fault plan
 	// (first scheduled crash strictly after ReadyAt), or Never. Fixed at
 	// launch; the controller and the in-kernel machine share it.
 	crashAt time.Duration
-	// fm is the per-server fault machine (terminal mode), built at
-	// activation and read (Stats) only after done. Nil without a plan.
-	fm *faults.Machine
-}
-
-// run is the per-server goroutine: the shared streamed runner pulling
-// from the routing channel. On error it keeps draining the channel so the
-// controller can never block on a dead server.
-func (sv *serverState) run(cfg Config, policy ghost.Policy) {
-	defer close(sv.done)
-	next := func() (cluster.Routed, bool) {
-		r, ok := <-sv.ch
-		return r, ok
-	}
-	kcfg, gcfg := cfg.Kernel, cfg.Ghost
-	if tr := cfg.Obs.Tracer(); tr != nil {
-		kcfg.Probe = tr.KernelProbe(sv.Index)
-		gcfg.Probe = tr.GhostProbe(sv.Index)
-	}
-	k, err := cluster.RunStreamedServer(kcfg, policy, gcfg, cfg.Window, sv.fm, next, &sv.count, &sv.tickStats)
-	if err != nil {
-		sv.err = err
-		for range sv.ch {
-		}
-		return
-	}
-	sv.simSpan = k.Makespan()
-	sv.events = k.EventSeq()
 }
 
 // controller is the streaming dispatcher's state, touched only from the
@@ -478,6 +379,7 @@ type controller struct {
 	router   *cluster.Router
 	model    *cluster.FleetModel // the router's load model
 	pools    *cluster.WarmPools  // the router's warm pools; nil unless cfg.ColdStart.Enabled()
+	exec     *cluster.Executor
 	servers  []*serverState
 	// candidates are the ready, non-draining server indices, ascending.
 	candidates []int
@@ -492,21 +394,17 @@ type controller struct {
 	lastDwn  time.Duration
 	events   []Event
 	assign   []int
-	// pool hosts the per-server runs: launched servers go onto reusable
-	// pooled workers, not raw goroutines, so host goroutine count tracks
-	// peak live fleet size rather than total launches.
-	pool workerPool
-	pg   *obs.Progress
+	pg       *obs.Progress
 	// faultsOn caches cfg.Faults.Enabled().
 	faultsOn bool
 	// nextCrash is the earliest crashAt among current candidates (may be
 	// stale-low after removals, never stale-high): the cheap per-arrival
 	// gate on the crash sweep.
 	nextCrash time.Duration
-	// crashedOpen lists crashed servers whose routing channels are still
-	// open: while every candidate is down and replacements boot, arrivals
-	// queue on the most recent of these (delivery kills them in-kernel).
-	// Channels close as soon as a live candidate exists again.
+	// crashedOpen lists crashed servers whose machines are still open:
+	// while every candidate is down and replacements boot, arrivals queue
+	// on the most recent of these (delivery kills them in-kernel). They
+	// close as soon as a live candidate exists again.
 	crashedOpen []int
 	// crashes counts unplanned retirements (Result.Faults.Crashes).
 	crashes  int64
@@ -579,6 +477,15 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	exec, err := cluster.NewExecutor(cluster.ExecConfig{
+		Shards: cluster.DefaultShards(cfg.Max),
+		Kernel: cfg.Kernel,
+		Ghost:  cfg.Ghost,
+		Obs:    cfg.Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
 	c := &controller{
 		cfg:       cfg,
 		up:        up,
@@ -586,6 +493,7 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		router:    router,
 		model:     router.Model(),
 		pools:     router.Pools(),
+		exec:      exec,
 		track:     newInflight(),
 		lastUp:    distantPast,
 		lastDwn:   distantPast,
@@ -622,24 +530,10 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		runErr = fmt.Errorf("autoscale: empty workload")
 	}
 
-	// Drain-before-retire, fleet-wide: stop routing (close every channel)
-	// and let every server finish its in-flight share.
-	for _, sv := range c.servers {
-		if sv.started && !sv.closed {
-			close(sv.ch)
-			sv.closed = true
-		}
-	}
-	for _, sv := range c.servers {
-		if sv.started {
-			<-sv.done
-		}
-	}
-	c.pool.close()
-	for _, sv := range c.servers {
-		if runErr == nil && sv.err != nil {
-			runErr = fmt.Errorf("autoscale: server %d: %w", sv.Index, sv.err)
-		}
+	// Drain-before-retire, fleet-wide: stop routing and let every server
+	// finish its in-flight share.
+	if err := exec.Wait(); runErr == nil && err != nil {
+		runErr = fmt.Errorf("autoscale: %w", err)
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -650,6 +544,7 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 // processArrival applies the fixed per-arrival scale-event ordering.
 func (c *controller) processArrival(inv workload.Invocation, idx int) error {
 	t := inv.Arrival
+	c.exec.Advance(t)
 	if err := c.activate(t); err != nil {
 		return err
 	}
@@ -669,7 +564,7 @@ func (c *controller) processArrival(inv workload.Invocation, idx int) error {
 }
 
 // launch registers a new server: billing starts now, routing after
-// spin-up. The goroutine starts at activation, so a canceled boot costs
+// spin-up. Its machine opens at activation, so a canceled boot costs
 // nothing but its billed spin-up fraction.
 func (c *controller) launch(t, ready time.Duration) {
 	idx := len(c.servers)
@@ -694,7 +589,9 @@ func (c *controller) launch(t, ready time.Duration) {
 }
 
 // activate moves every server whose spin-up completed by t into the
-// candidate set, in launch order.
+// candidate set, in launch order, and opens its machine on shard
+// index % shards (launch order is index order, so every shard's live
+// servers stay in index order).
 func (c *controller) activate(t time.Duration) error {
 	for len(c.pending) > 0 {
 		idx := c.pending[0]
@@ -713,14 +610,11 @@ func (c *controller) activate(t time.Duration) error {
 			sv.Set = &metrics.Set{}
 			sv.count.inner = sv.Set
 		}
-		sv.count.inner = c.cfg.Obs.WrapSink(idx, sv.count.inner)
+		var fm *faults.Machine
 		if c.faultsOn {
-			sv.fm = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
+			fm = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
 		}
-		sv.ch = make(chan cluster.Routed, chanBuf)
-		sv.done = make(chan struct{})
-		sv.started = true
-		c.pool.submit(func() { sv.run(c.cfg, policy) })
+		sv.m = c.exec.Open(idx%c.exec.Shards(), idx, policy, &sv.count, fm)
 		c.candidates = append(c.candidates, idx)
 		if sv.crashAt != Never && sv.crashAt < c.nextCrash {
 			c.nextCrash = sv.crashAt
@@ -769,9 +663,9 @@ func (c *controller) sweepCrashes(t time.Duration) {
 
 // crash retires one server off-plan: billing stops at the crash instant,
 // routing eligibility ends now, the warm pool is gone. The in-kernel
-// machine (which shares crashAt) kills the residents; the routing channel
-// stays open until a live candidate exists, so a fully-down fleet can
-// still queue work here (killed on delivery).
+// machine (which shares crashAt) kills the residents; the machine stays
+// open until a live candidate exists, so a fully-down fleet can still
+// queue work here (killed on delivery).
 func (c *controller) crash(sv *serverState, t time.Duration) {
 	at := sv.crashAt
 	sv.DrainAt, sv.RetireAt, sv.Crashed = at, at, true
@@ -791,17 +685,15 @@ func (c *controller) crash(sv *serverState, t time.Duration) {
 	c.events = append(c.events, Event{Time: at, Kind: EventDrain, Server: sv.Index})
 }
 
-// closeCrashed closes crashed servers' routing channels once a live
-// candidate exists again (they are no longer needed as the last-resort
-// queue), letting their kernels drain and retire.
+// closeCrashed closes crashed servers' machines once a live candidate
+// exists again (they are no longer needed as the last-resort queue),
+// letting them drain and retire.
 func (c *controller) closeCrashed() {
 	if len(c.crashedOpen) == 0 || len(c.candidates) == 0 {
 		return
 	}
 	for _, s := range c.crashedOpen {
-		sv := c.servers[s]
-		close(sv.ch)
-		sv.closed = true
+		c.exec.Close(c.servers[s].m)
 	}
 	c.crashedOpen = c.crashedOpen[:0]
 }
@@ -832,10 +724,9 @@ func (c *controller) route(inv workload.Invocation, idx int) error {
 	if c.cfg.TrackAssignment {
 		c.assign = append(c.assign, s)
 	}
-	sv.ch <- r
+	c.exec.Admit(sv.m, r)
 	if c.pg != nil {
 		c.pg.Routed.Add(1)
-		c.pg.Watermark.Store(int64(inv.Arrival))
 	}
 	return nil
 }
@@ -934,26 +825,27 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 			// same as at retire time — and the warm state is gone for good.
 			c.pools.DropServer(best)
 		}
-		close(sv.ch)
-		sv.closed = true
+		c.exec.Close(sv.m) // drains the machine at once
 		c.events = append(c.events, Event{Time: t, Kind: EventDrain, Server: best})
 	}
 	c.lastDwn = t
 }
 
-// finish assembles the Result after every server goroutine has drained.
+// finish assembles the Result after the executor has drained every
+// machine.
 func (c *controller) finish(routed int) (*Result, error) {
 	res := &Result{
-		Dispatch:    c.cfg.Dispatch,
-		Policy:      c.cfg.Policy,
-		Routed:      routed,
-		Assignment:  c.assign,
-		PoolWorkers: c.pool.spawned,
+		Dispatch:   c.cfg.Dispatch,
+		Policy:     c.cfg.Policy,
+		Routed:     routed,
+		Assignment: c.assign,
 	}
 
 	// Fleet makespan first: surviving servers bill until it.
 	for _, sv := range c.servers {
-		sv.Makespan = sv.simSpan
+		if sv.m != nil {
+			sv.Makespan = sv.m.Makespan
+		}
 		if sv.Makespan > res.Makespan {
 			res.Makespan = sv.Makespan
 		}
@@ -998,10 +890,10 @@ func (c *controller) finish(routed int) (*Result, error) {
 		res.Preemptions += sv.Preemptions
 		res.ColdStarts += sv.ColdStarts
 		res.ServerSeconds += sv.BilledSeconds()
-		res.Stats.Accumulate(sv.tickStats)
-		res.KernelEvents += sv.events
-		if sv.fm != nil {
-			res.Faults.Accumulate(sv.fm.Stats())
+		if sv.m != nil {
+			res.Stats.Accumulate(sv.m.Stats)
+			res.KernelEvents += sv.m.Events
+			res.Faults.Accumulate(sv.m.Faults)
 		}
 		res.Servers = append(res.Servers, sv.Server)
 	}
@@ -1032,9 +924,9 @@ func (c *controller) finish(routed int) (*Result, error) {
 	}
 	res.Events = events
 
+	// The executor already added the enclave, kernel-event and
+	// fault-machine counters; the controller adds its own.
 	if reg := c.cfg.Obs.Registry(); reg != nil {
-		reg.AddGhostStats(res.Stats)
-		reg.Counter(obs.CKernEvents).Add(int64(res.KernelEvents))
 		reg.Counter(obs.CInvocations).Add(int64(routed))
 		reg.Gauge(obs.GServerSeconds).Add(res.ServerSeconds)
 		kinds := [...]*obs.Counter{
@@ -1048,9 +940,6 @@ func (c *controller) finish(routed int) (*Result, error) {
 		}
 		if c.faultsOn {
 			reg.Counter(obs.CFaultCrashes).Add(res.Faults.Crashes)
-			reg.Counter(obs.CFaultKills).Add(res.Faults.Kills)
-			reg.Counter(obs.CFaultRetries).Add(res.Faults.Retries)
-			reg.Counter(obs.CFaultGiveUps).Add(res.Faults.GiveUps)
 		}
 	}
 	if tr := c.cfg.Obs.Tracer(); tr != nil {

@@ -24,7 +24,6 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/obs"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -123,7 +122,7 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
 	}
 	if cfg.Window < 0 {
-		return fmt.Errorf("cluster: negative look-ahead window %v", cfg.Window)
+		return fmt.Errorf("cluster: negative watermark window %v", cfg.Window)
 	}
 	if cfg.Dispatch == "" {
 		cfg.Dispatch = DispatchLeastLoaded
@@ -260,13 +259,12 @@ func obsConfigs(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, server int) 
 	return kcfg, gcfg
 }
 
-// serverFeed is one server's admission plumbing, shared by both
-// per-server runners (the lockstep shard worker and RunStreamedServer) so
-// they build identical tasks: it turns each Routed arrival into a pooled
-// task carrying its global invocation id (Idx+1) and demand surcharges,
-// and, when the fault plan is on, interposes the server's fault machine
-// between the retirer and the policy, on the record path, and on the task
-// build (crash kills, timeouts, retries — DESIGN.md §14).
+// serverFeed is one server's admission plumbing in the executor: it
+// turns each Routed arrival into a pooled task carrying its global
+// invocation id (Idx+1) and demand surcharges, and, when the fault plan
+// is on, interposes the server's fault machine between the retirer and
+// the policy, on the record path, and on the task build (crash kills,
+// timeouts, retries — DESIGN.md §14).
 type serverFeed struct {
 	pool *workload.TaskPool
 	fm   *faults.Machine
@@ -298,32 +296,4 @@ func (f *serverFeed) task(r Routed) *simkern.Task {
 		f.fm.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
 	}
 	return t
-}
-
-// RunStreamedServer drives one server's routed share — pulled lazily from
-// next — through the streaming dataflow: the lazy-admission feeder admits
-// each arrival through a serverFeed, and every completion is pushed into
-// sink in completion order. The autoscale layer runs every live server on
-// it. fm, when non-nil, is the server's fault machine. stats, when
-// non-nil, receives the server enclave's delegation counters (fired vs
-// elided agent ticks) after the run drains.
-func RunStreamedServer(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
-	window time.Duration, fm *faults.Machine, next func() (Routed, bool), sink metrics.Sink, stats *ghost.Stats) (*simkern.Kernel, error) {
-	feed, policy, sink, err := newServerFeed(fm, policy, sink)
-	if err != nil {
-		return nil, err
-	}
-	src := func() (*simkern.Task, bool) {
-		r, ok := next()
-		if !ok {
-			return nil, false
-		}
-		return feed.task(r), true
-	}
-	return simrun.ExecStream(kcfg, policy, gcfg, src, simrun.StreamConfig{
-		Window:  window,
-		Sink:    sink,
-		Recycle: feed.recycle,
-		Stats:   stats,
-	})
 }

@@ -104,12 +104,3 @@ func (rf *routeFaults) stats() faults.Stats {
 	}
 	return rf.fleet.Stats()
 }
-
-// addFaultStats folds fault counters into an obs registry.
-func addFaultStats(reg *obs.Registry, st faults.Stats) {
-	reg.Counter(obs.CFaultCrashes).Add(st.Crashes)
-	reg.Counter(obs.CFaultKills).Add(st.Kills)
-	reg.Counter(obs.CFaultRetries).Add(st.Retries)
-	reg.Counter(obs.CFaultGiveUps).Add(st.GiveUps)
-	reg.Counter(obs.CFaultStragglers).Add(st.StragglerWindows)
-}

@@ -20,7 +20,7 @@ import (
 // RateScale=1 (the already-downscaled Azure-calibrated rate, §V-B), which
 // keeps the run CPU-bound rather than pointless: the old materialized
 // dataflow could not hold even this volume over 24 h, while streaming
-// admission holds only the look-ahead window regardless of horizon.
+// admission holds only one watermark window regardless of horizon.
 const (
 	quickDiurnalMinutes     = 30
 	fullDiurnalMinutes      = 360  // 6 h
@@ -65,7 +65,7 @@ func (e *Env) diurnalWindow() time.Duration {
 // DiurnalSource synthesizes the long-horizon Azure-calibrated trace and
 // returns its lazy invocation source plus the horizon in minutes. The
 // trace is generated eagerly (O(functions × minutes) counts, a few MB at
-// 24 h); invocations are derived minute by minute as the feeder pulls
+// 24 h); invocations are derived minute by minute as the runner pulls
 // them, so the workload itself is never materialized.
 func (e *Env) DiurnalSource() (workload.Source, int, error) {
 	minutes := e.diurnalMinutes()

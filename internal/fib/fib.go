@@ -58,10 +58,20 @@ func DefaultModel() DurationModel {
 	return DurationModel{BaseN: MinN, Base: 120 * time.Millisecond}
 }
 
-// Duration returns the modeled service demand of fib(n).
-func (m DurationModel) Duration(n int) time.Duration {
-	scale := math.Pow(Phi, float64(n-m.BaseN))
-	return time.Duration(float64(m.Base) * scale)
+// Duration returns the modeled service demand of fib(n). It is only
+// meaningful where Fits(n) holds.
+func (m DurationModel) Duration(n int) time.Duration { return time.Duration(m.nanos(n)) }
+
+// Fits reports whether fib(n)'s modeled demand is a positive
+// time.Duration: far above the calibrated range the product overflows
+// int64, and far below it rounds to zero.
+func (m DurationModel) Fits(n int) bool {
+	ns := m.nanos(n)
+	return ns < math.MaxInt64 && time.Duration(ns) > 0
+}
+
+func (m DurationModel) nanos(n int) float64 {
+	return float64(m.Base) * math.Pow(Phi, float64(n-m.BaseN))
 }
 
 // Table returns the modeled duration for every N in [MinN, MaxN],

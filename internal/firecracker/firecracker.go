@@ -122,8 +122,8 @@ type Fleet struct {
 	launched int
 	failed   int
 
-	// Streaming mode (Stream): VM states are built lazily as the feeder
-	// pulls boot tasks, lifecycle map entries are pruned as VMs retire,
+	// Streaming mode (Stream): VM states are built lazily as the stream
+	// runner pulls boot tasks, lifecycle map entries are pruned as VMs retire,
 	// and failed launches push their Failed record into sink directly —
 	// an aborted task emits no TASK_DEAD, so the stream retirer would
 	// never see it (the invariant behind simrun.ExecStream's AbortTask
@@ -226,8 +226,8 @@ func (f *Fleet) Launch(kernel *simkern.Kernel, invs []workload.Invocation) error
 }
 
 // Stream is Launch's lazy sibling: it returns a task source yielding one
-// boot task per invocation as the stream feeder pulls, so VM states
-// materialize only inside the look-ahead window. sink receives the
+// boot task per invocation as the stream runner pulls, so VM states
+// materialize only one watermark window ahead of the clock. sink receives the
 // Failed record of every launch refused for memory (the successful path
 // retires vCPU records through the stream retirer as usual), and
 // lifecycle state is pruned as VMs finish — peak memory tracks live VMs,

@@ -12,10 +12,9 @@
 // so the disabled path is one predictable branch and zero allocations.
 //
 // Concurrency model: the Registry is owned by a single control thread
-// (router, merge loop, autoscale controller); parallel shard workers get
-// their own Registry each, merged afterwards in shard-index order via
-// MergeRegistryTree — the same pairwise discipline as metrics.MergeTree,
-// so float gauge sums are bit-stable at any shard count. The Tracer is
+// (the router or autoscale controller driving the fleet executor); shard
+// workers never touch it — the executor folds their machines' counters
+// in from the control thread once the run has drained. The Tracer is
 // internally locked (workers emit concurrently); Progress is atomics.
 package obs
 

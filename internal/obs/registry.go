@@ -61,8 +61,7 @@ func (c *Counter) Inc() { c.v++ }
 // Value returns the current tally.
 func (c *Counter) Value() int64 { return c.v }
 
-// Gauge is a named float64 accumulator, merged across shards by
-// summation in MergeRegistryTree's fixed pairwise order.
+// Gauge is a named float64 accumulator.
 type Gauge struct {
 	name string
 	v    float64
@@ -128,55 +127,6 @@ func (r *Registry) AddGhostStats(s ghost.Stats) {
 	r.Counter(CGhostTicks).Add(s.Ticks)
 	r.Counter(CGhostElided).Add(s.TicksElided)
 	r.Counter(CGhostMigrations).Add(s.Migrations)
-}
-
-// Merge sums src's counters and gauges into r, iterating names in
-// sorted order so float gauge sums fold deterministically (int64
-// counters would tolerate any order; gauges would not). Cross-kind name
-// collisions panic via Counter/Gauge.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil {
-		return
-	}
-	for _, name := range sortedKeys(src.counters) {
-		r.Counter(name).Add(src.counters[name].v)
-	}
-	for _, name := range sortedKeys(src.gauges) {
-		r.Gauge(name).Add(src.gauges[name].v)
-	}
-}
-
-func sortedKeys[V any](m map[string]*V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// MergeRegistryTree folds regs into regs[0] pairwise in index order —
-// stride 1 merges regs[i+1] into regs[i] for even i, then stride 2, and
-// so on, exactly the metrics.MergeTree discipline — so gauge float sums
-// are bit-for-bit reproducible for a given shard partition regardless of
-// worker scheduling. Nil entries are skipped; the slice is clobbered.
-// Returns the surviving root, or nil when regs is empty or all-nil.
-func MergeRegistryTree(regs []*Registry) *Registry {
-	for stride := 1; stride < len(regs); stride *= 2 {
-		for i := 0; i+stride < len(regs); i += 2 * stride {
-			if regs[i] == nil {
-				regs[i] = regs[i+stride]
-				regs[i+stride] = nil
-				continue
-			}
-			regs[i].Merge(regs[i+stride])
-			regs[i+stride] = nil
-		}
-	}
-	if len(regs) == 0 {
-		return nil
-	}
-	return regs[0]
 }
 
 // Dump flattens the registry into a name→value map for JSON run reports

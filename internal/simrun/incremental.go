@@ -1,12 +1,10 @@
-// Incremental runs: the sharded streaming fleet (cluster.SimulateSharded*)
-// replaces the per-server feeder timers with external admission control —
-// a router goroutine owns the arrival stream and tells every machine how
-// far it may advance (a watermark T is only emitted once every arrival
-// ≤ T has been handed over). Incremental packages the same kernel +
-// retirer-wrapped enclave wiring as ExecStream for that protocol: the
-// caller admits tasks, then steps the clock to each watermark with RunTo,
-// and finally Drain()s. Determinism follows from AdmitTask's pre-seeding
-// equivalence exactly as on the feeder path, and the kernel's
+// Incremental runs: one machine under external admission control, the
+// only streaming per-server runner. The caller admits tasks, steps the
+// clock to each watermark with RunTo — a watermark T may only be reached
+// once every arrival ≤ T has been admitted — and finally Drain()s. The
+// lockstep fleet executor (cluster.Executor) drives one per server from
+// its shard workers; ExecStream drives one from a task source. Determinism
+// follows from AdmitTask's pre-seeding equivalence, and the kernel's
 // arrivals-pending flag — set until Drain — keeps every periodic pump
 // alive between watermarks as pre-seeded arrivals would (DESIGN.md §7,
 // §11).
@@ -34,8 +32,8 @@ type Incremental struct {
 // NewIncremental builds a task-discarding kernel with policy attached
 // through a delegation enclave wrapped with the sink retirer (completed
 // tasks are measured into sink, then handed to recycle when it is
-// non-nil). The ExecStream precondition carries over: the policy must not
-// use Env.AbortTask.
+// non-nil). The ExecStream precondition applies: the policy must not use
+// Env.AbortTask unless it sinks aborted tasks itself.
 func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, sink metrics.Sink, recycle func(*simkern.Task)) (*Incremental, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("simrun: NewIncremental needs a Sink")

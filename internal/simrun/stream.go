@@ -1,16 +1,19 @@
 // Streaming run protocol: instead of seeding every task before the clock
-// starts and holding every finished task for an end-of-run Collect, a
-// feeder keeps only a bounded look-ahead window of future arrivals in the
-// event heap and a retirer pushes each finished task's record into a
+// starts and holding every finished task for an end-of-run Collect,
+// ExecStream admits tasks lazily on an Incremental machine — the same
+// runner every fleet server uses — advancing the clock one watermark at a
+// time, and a retirer pushes each finished task's record into a
 // metrics.Sink, optionally recycling the struct. Peak memory becomes
-// O(active tasks + look-ahead window) instead of O(total invocations).
+// O(active tasks + one window of arrivals) instead of O(total
+// invocations).
 //
-// Determinism: the feeder admits through Kernel.AdmitTask, whose arrivals
-// order before any same-instant run-time event (simkern's admit class) —
-// exactly the tie-break a fully pre-seeded run produces — and every chunk
-// is admitted strictly before simulated time reaches its arrivals. A
-// streamed run is therefore observationally identical to the materialized
-// run of the same workload; TestGoldenDigests proves it per scheduler.
+// Determinism: tasks are admitted through Kernel.AdmitTask, whose
+// arrivals order before any same-instant run-time event (simkern's admit
+// class) — exactly the tie-break a fully pre-seeded run produces — and
+// the clock only advances to a watermark once an arrival strictly beyond
+// it has been admitted. A streamed run is therefore observationally
+// identical to the materialized run of the same workload;
+// TestGoldenDigests proves it per scheduler.
 
 package simrun
 
@@ -30,16 +33,17 @@ import (
 // order, or ok=false when the workload is exhausted.
 type TaskSource func() (t *simkern.Task, ok bool)
 
-// DefaultWindow is the feeder's look-ahead half-window: at any instant the
-// event heap holds arrivals at most two windows ahead of the clock.
-// Arrivals are minute-structured (evenly spaced within each trace minute),
-// so half a minute keeps the heap a small constant factor of the
-// per-minute arrival volume without feeder timers dominating the run.
+// DefaultWindow is the default watermark spacing of every lazy-admission
+// run: the clock advances in steps of this size, so the event heap holds
+// at most about one window of arrivals ahead of the clock. Arrivals are
+// minute-structured (evenly spaced within each trace minute), so half a
+// minute keeps the heap a small constant factor of the per-minute arrival
+// volume while watermark steps stay rare.
 const DefaultWindow = 30 * time.Second
 
 // StreamConfig tunes ExecStream.
 type StreamConfig struct {
-	// Window is the look-ahead half-window; zero means DefaultWindow.
+	// Window is the watermark spacing; zero means DefaultWindow.
 	Window time.Duration
 	// Sink receives one record per retired function task, in completion
 	// order. Required.
@@ -54,10 +58,11 @@ type StreamConfig struct {
 	Stats *ghost.Stats
 }
 
-// ExecStream is ExecStats's streaming sibling: build a kernel (task retention
-// disabled), attach policy through a delegation enclave wrapped with the
-// retirer, admit tasks from src in look-ahead windows, and run until both
-// the source and the machine drain. The returned kernel carries only
+// ExecStream is ExecStats's streaming sibling: an Incremental machine
+// (task retention disabled, policy attached through a delegation enclave
+// wrapped with the retirer) admits each task from src after running the
+// clock to every watermark k·Window strictly below its arrival, then
+// drains once the source is exhausted. The returned kernel carries only
 // scalar observables (makespan, per-core counters); per-task results live
 // in cfg.Sink.
 //
@@ -73,125 +78,44 @@ func ExecStream(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, src
 		return nil, errors.New("simrun: ExecStream needs a Sink")
 	}
 	if cfg.Window < 0 {
-		return nil, fmt.Errorf("simrun: negative look-ahead window %v", cfg.Window)
+		return nil, fmt.Errorf("simrun: negative watermark window %v", cfg.Window)
 	}
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
 	}
-	kcfg.DiscardTasks = true
-	k, err := simkern.New(kcfg)
+	inc, err := NewIncremental(kcfg, policy, gcfg, cfg.Sink, cfg.Recycle)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := ghost.NewEnclave(k, &retirer{inner: policy, sink: cfg.Sink, recycle: cfg.Recycle}, gcfg)
-	if err != nil {
+	nextMark, lastArr := cfg.Window, time.Duration(0)
+	for {
+		t, ok := src()
+		if !ok {
+			break
+		}
+		if t == nil {
+			return nil, errors.New("simrun: TaskSource yielded a nil task")
+		}
+		if t.Arrival < lastArr {
+			return nil, fmt.Errorf("simrun: TaskSource out of order: %v after %v", t.Arrival, lastArr)
+		}
+		lastArr = t.Arrival
+		for ; t.Arrival > nextMark; nextMark += cfg.Window {
+			if err := inc.RunTo(nextMark); err != nil {
+				return nil, err
+			}
+		}
+		if err := inc.Admit(t); err != nil {
+			return nil, err
+		}
+	}
+	if err := inc.Drain(); err != nil {
 		return nil, err
-	}
-	f := &feeder{k: k, next: src, window: cfg.Window}
-	f.fire = f.onTimer
-	k.SetArrivalsPending(true)
-	if err := f.seed(); err != nil {
-		return nil, err
-	}
-	if _, err := k.Run(0); err != nil {
-		return nil, err
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	if n := k.Outstanding(); n != 0 {
-		return nil, fmt.Errorf("simrun: %d tasks unfinished under %s", n, policy.Name())
 	}
 	if cfg.Stats != nil {
-		*cfg.Stats = enc.Stats()
+		*cfg.Stats = inc.Stats()
 	}
-	return k, nil
-}
-
-// feeder admits tasks in chunks: at simulated time T it has admitted every
-// arrival in [0, T+2W) and armed the next chunk timer at T+W. Admission
-// timers therefore always fire strictly before the arrivals they admit,
-// which is what AdmitTask's pre-seeding equivalence requires. The kernel's
-// arrivals-pending flag stays set until the source is exhausted, so tick
-// and sampling pumps run through idle gaps exactly as they do when the
-// not-yet-arrived tasks are pre-seeded.
-type feeder struct {
-	k      *simkern.Kernel
-	next   TaskSource
-	window time.Duration
-	fire   func() // persistent chunk-timer callback
-
-	pending  *simkern.Task // pulled from src but beyond the horizon
-	lastArr  time.Duration
-	nextFire time.Duration
-	done     bool
-	err      error
-}
-
-// seed admits the initial two windows and arms the chain.
-func (f *feeder) seed() error {
-	f.admitUpTo(2 * f.window)
-	if !f.done {
-		f.nextFire = f.window
-		f.k.ScheduleFn(f.nextFire, f.fire)
-	}
-	return f.err
-}
-
-// onTimer advances the look-ahead by one window and re-arms.
-func (f *feeder) onTimer() {
-	at := f.nextFire
-	f.admitUpTo(at + 2*f.window)
-	if !f.done {
-		f.nextFire = at + f.window
-		f.k.ScheduleFn(f.nextFire, f.fire)
-	}
-}
-
-// admitUpTo admits every source task arriving before horizon. On a source
-// ordering violation or kernel rejection it records the error and stops
-// feeding (the run then fails after drain).
-func (f *feeder) admitUpTo(horizon time.Duration) {
-	for {
-		t := f.pending
-		if t == nil {
-			var ok bool
-			t, ok = f.next()
-			if !ok {
-				f.finish()
-				return
-			}
-			if t == nil {
-				f.fail(errors.New("simrun: TaskSource yielded a nil task"))
-				return
-			}
-			if t.Arrival < f.lastArr {
-				f.fail(fmt.Errorf("simrun: TaskSource out of order: %v after %v", t.Arrival, f.lastArr))
-				return
-			}
-			f.lastArr = t.Arrival
-		}
-		if t.Arrival >= horizon {
-			f.pending = t
-			return
-		}
-		f.pending = nil
-		if err := f.k.AdmitTask(t); err != nil {
-			f.fail(err)
-			return
-		}
-	}
-}
-
-func (f *feeder) fail(err error) {
-	f.err = err
-	f.finish()
-}
-
-// finish stops feeding: no arrival is pending any more.
-func (f *feeder) finish() {
-	f.done = true
-	f.k.SetArrivalsPending(false)
+	return inc.k, nil
 }
 
 // retirer wraps the scheduling policy: after the policy has consumed a

@@ -1,8 +1,8 @@
 // Streaming side of the workload pipeline: a Source yields invocations
-// lazily, minute by minute, so consumers (the feeder in internal/simrun)
-// never hold more than one trace minute of arrivals — the first half of
-// turning peak memory from O(total invocations) into O(active tasks +
-// look-ahead window). Build remains the materialized adapter over Stream.
+// lazily, minute by minute, so consumers (the streaming runners in
+// internal/simrun and internal/cluster) never hold more than one trace
+// minute of arrivals — the first half of turning peak memory from
+// O(total invocations) into O(active tasks + watermark window). Build remains the materialized adapter over Stream.
 
 package workload
 
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -195,7 +196,12 @@ func ReadSource(r io.Reader, model fib.DurationModel) (Source, func() error, err
 				readErr = err
 				return
 			}
-			arrival += inv.Arrival // parsed field holds the inter-arrival time
+			// The parsed field holds the inter-arrival time.
+			if inv.Arrival > math.MaxInt64-arrival {
+				readErr = fmt.Errorf("workload: line %d: arrival overflows", line)
+				return
+			}
+			arrival += inv.Arrival
 			inv.Arrival = arrival
 			if !yield(inv) {
 				return
@@ -217,12 +223,15 @@ func parseInvocation(text string, line int, model fib.DurationModel) (Invocation
 		return Invocation{}, fmt.Errorf("workload: line %d: want 3 fields, got %d", line, len(fields))
 	}
 	iatUS, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil || iatUS < 0 {
+	if err != nil || iatUS < 0 || iatUS > math.MaxInt64/int64(time.Microsecond) {
 		return Invocation{}, fmt.Errorf("workload: line %d: bad iat %q", line, fields[0])
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 1 {
 		return Invocation{}, fmt.Errorf("workload: line %d: bad fib_n %q", line, fields[1])
+	}
+	if !model.Fits(n) {
+		return Invocation{}, fmt.Errorf("workload: line %d: fib_n %d has no positive modeled duration", line, n)
 	}
 	mem, err := strconv.Atoi(fields[2])
 	if err != nil || mem < 1 {

@@ -370,12 +370,55 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"bad n":      "iat_us,fib_n,mem_mb\n1,zero,128\n",
 		"bad mem":    "iat_us,fib_n,mem_mb\n1,36,-1\n",
 		"no rows":    "iat_us,fib_n,mem_mb\n",
+		// Rows whose numbers overflow int64 nanoseconds: fib(200)'s
+		// modeled demand, an iat whose ×1µs product wraps, and two iats
+		// that fit alone but whose sum does not.
+		"duration overflow": "iat_us,fib_n,mem_mb\n0,200,128\n",
+		"iat overflow":      "iat_us,fib_n,mem_mb\n5000000000000000000,30,128\n5000000000000000000,30,128\n",
+		"arrival overflow":  "iat_us,fib_n,mem_mb\n9000000000000000,30,128\n9000000000000000,30,128\n",
 	}
 	for name, content := range cases {
 		if _, err := Read(strings.NewReader(content), fib.DurationModel{}); err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if name != "empty" && name != "bad header" && name != "no rows" && !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: error does not name the line: %v", name, err)
 		}
 	}
+}
+
+// FuzzReadSource: whatever the rows, the reader never panics, every
+// invocation it yields has a positive duration and a non-negative,
+// non-decreasing arrival, and a row that would break either property
+// stops the stream with an error.
+func FuzzReadSource(f *testing.F) {
+	f.Add("1000,36,128\n2000,31,256\n")
+	f.Fuzz(func(t *testing.T, rows string) {
+		src, readErr, err := ReadSource(strings.NewReader(fileHeader+"\n"+rows), fib.DurationModel{})
+		if err != nil {
+			t.Fatalf("valid header rejected: %v", err)
+		}
+		want := 0
+		for _, row := range strings.Split(rows, "\n") {
+			if strings.TrimSpace(row) != "" {
+				want++
+			}
+		}
+		last, got := time.Duration(0), 0
+		src(func(inv Invocation) bool {
+			got++
+			if inv.Duration <= 0 {
+				t.Fatalf("yielded non-positive duration %v (fib_n %d)", inv.Duration, inv.FibN)
+			}
+			if inv.Arrival < last {
+				t.Fatalf("yielded arrival %v after %v", inv.Arrival, last)
+			}
+			last = inv.Arrival
+			return true
+		})
+		if err := readErr(); err == nil && got != want {
+			t.Fatalf("yielded %d of %d rows without an error", got, want)
+		}
+	})
 }
 
 // TestReadSourceErrorReporting: header errors surface immediately; body
