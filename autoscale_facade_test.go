@@ -93,10 +93,7 @@ func TestAutoscaledWindowedMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := SimulateAutoscaledExact(opts, SliceSource(invs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := autoscaledExact(t, opts, invs)
 	if win.Makespan != exact.Makespan || win.Preemptions != exact.Preemptions {
 		t.Errorf("windowed %v/%d != exact %v/%d",
 			win.Makespan, win.Preemptions, exact.Makespan, exact.Preemptions)
@@ -125,6 +122,7 @@ func TestAutoscaleOptionValidation(t *testing.T) {
 	}{
 		{"max below min", AutoscaleOptions{MinServers: 4, MaxServers: 2}},
 		{"one core", AutoscaleOptions{CoresPerServer: 1}},
+		{"one core under cfs", AutoscaleOptions{MinServers: 2, MaxServers: 2, CoresPerServer: 1, Scheduler: SchedulerCFS}},
 		{"unknown scheduler", AutoscaleOptions{Scheduler: "bogus"}},
 		{"unknown dispatch", AutoscaleOptions{Dispatch: "bogus"}},
 		{"unknown scale policy", AutoscaleOptions{ScalePolicy: "bogus"}},
@@ -133,9 +131,6 @@ func TestAutoscaleOptionValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := SimulateAutoscaled(tc.opts, SliceSource(invs)); err == nil {
 				t.Errorf("%s accepted by SimulateAutoscaled", tc.name)
-			}
-			if _, err := SimulateAutoscaledExact(tc.opts, SliceSource(invs)); err == nil {
-				t.Errorf("%s accepted by SimulateAutoscaledExact", tc.name)
 			}
 		})
 	}

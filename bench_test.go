@@ -294,16 +294,28 @@ func BenchmarkStreamedFullscale(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		b.ReportAllocs()
 		var poolHighWater int
+		// A 5 s watermark window (vs the 30 s default) makes the window
+		// term of the O(active + window) bound visible at this rate.
+		const window = 5 * time.Second
 		for i := 0; i < b.N; i++ {
 			pool := workload.NewTaskPool()
-			src, stop := simrun.PooledTasks(workload.SliceSource(invs), pool)
 			acc := metrics.NewAccumulator(pricing.Default())
-			// A 5 s watermark window (vs the 30 s default) makes the window
-			// term of the O(active + window) bound visible at this rate.
-			_, err := simrun.ExecStream(kcfg, fifoPolicy(), ghost.Config{}, src,
-				simrun.StreamConfig{Window: 5 * time.Second, Sink: acc, Recycle: func(t *simkern.Task) { pool.Put(t) }})
-			stop()
+			inc, err := simrun.NewIncremental(kcfg, fifoPolicy(), ghost.Config{}, acc, func(t *simkern.Task) { pool.Put(t) })
 			if err != nil {
+				b.Fatal(err)
+			}
+			mark := window
+			for j, inv := range invs {
+				for ; inv.Arrival > mark; mark += window {
+					if err := inc.RunTo(mark); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := inc.Admit(pool.Get(inv, simkern.TaskID(j+1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := inc.Drain(); err != nil {
 				b.Fatal(err)
 			}
 			if acc.Completed() != len(invs) {
@@ -378,7 +390,7 @@ func BenchmarkShardedFleetReplay(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(rep.Invocations), "invocations")
 			b.ReportMetric(float64(rep.Shards), "shards")
-			b.ReportMetric(float64(rep.TicksElided), "ticks_elided")
+			b.ReportMetric(float64(rep.Ghost.TicksElided), "ticks_elided")
 		})
 	}
 }

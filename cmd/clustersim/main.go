@@ -454,7 +454,7 @@ func runSharded(stdout io.Writer, src faassched.Source, a shardedArgs) error {
 		row(fmt.Sprintf("w%d", w), stats.Window(w))
 	}
 	row("all", stats.Total())
-	fig.Note("makespan %s | agent ticks fired=%d elided=%d", stats.Makespan.Round(time.Millisecond), stats.TicksFired, stats.TicksElided)
+	fig.Note("makespan %s | agent ticks fired=%d elided=%d", stats.Makespan.Round(time.Millisecond), stats.Ghost.Ticks, stats.Ghost.TicksElided)
 	fig.Note("ghost msgs=%d commits=%d fails=%d migrations=%d | kernel events=%d",
 		stats.Ghost.Delivered, stats.Ghost.Commits, stats.Ghost.Failed,
 		stats.Ghost.Migrations, stats.KernelEvents)

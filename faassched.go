@@ -26,7 +26,6 @@ package faassched
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/faassched/faassched/internal/autoscale"
@@ -179,7 +178,9 @@ type Options struct {
 type Result struct {
 	// Scheduler that produced this result.
 	Scheduler Scheduler
-	// Set holds the per-invocation records.
+	// Set holds the per-invocation records in task-ID order (ID is 1 +
+	// the invocation's index), except in Firecracker mode, where they
+	// come in vCPU-admission order and IDs are 3·index+2.
 	Set metrics.Set
 	// Makespan is the completion time of the last task.
 	Makespan time.Duration
@@ -272,25 +273,41 @@ func newPolicy(opts Options) (ghost.Policy, error) {
 	}
 }
 
-// Simulate runs invs under the selected scheduler and returns the
-// measurements. The simulation is deterministic for given inputs.
-func Simulate(opts Options, invs []Invocation) (*Result, error) {
+// serverPolicy resolves the per-server options every entry point shares:
+// Cores defaults to 8 and must be at least 2, Scheduler defaults to
+// SchedulerHybrid, and the scheduler configuration is validated once.
+// It returns the resolved options and a factory for fresh per-server
+// policies.
+func serverPolicy(opts Options) (Options, func() ghost.Policy, error) {
 	if opts.Cores == 0 {
 		opts.Cores = 8
 	}
 	if opts.Cores < 2 {
-		return nil, fmt.Errorf("faassched: need at least 2 cores, got %d", opts.Cores)
+		return opts, nil, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.Cores)
 	}
 	if opts.Scheduler == "" {
 		opts.Scheduler = SchedulerHybrid
 	}
-	if len(invs) == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
+	if _, err := newPolicy(opts); err != nil {
+		return opts, nil, err
 	}
-	policy, err := newPolicy(opts)
+	return opts, func() ghost.Policy {
+		p, _ := newPolicy(opts) // cannot fail: opts validated above
+		return p
+	}, nil
+}
+
+// Simulate runs invs under the selected scheduler and returns the
+// measurements. The simulation is deterministic for given inputs.
+func Simulate(opts Options, invs []Invocation) (*Result, error) {
+	opts, mk, err := serverPolicy(opts)
 	if err != nil {
 		return nil, err
 	}
+	if len(invs) == 0 {
+		return nil, fmt.Errorf("faassched: empty workload")
+	}
+	policy := mk()
 	add := simrun.AddTasks(workload.Tasks(invs))
 	var fleet *firecracker.Fleet
 	if opts.Firecracker {
@@ -373,175 +390,6 @@ func BuildWorkloadSource(spec WorkloadSpec) (Source, error) {
 		return nil, err
 	}
 	return b.Stream(tr, 0, minutes)
-}
-
-// streamOpts validates opts for the streaming entry points and returns
-// the policy.
-func streamOpts(opts Options) (Options, ghost.Policy, error) {
-	if opts.Cores == 0 {
-		opts.Cores = 8
-	}
-	if opts.Cores < 2 {
-		return opts, nil, fmt.Errorf("faassched: need at least 2 cores, got %d", opts.Cores)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	policy, err := newPolicy(opts)
-	if err != nil {
-		return opts, nil, err
-	}
-	return opts, policy, nil
-}
-
-// SimulateStreamed runs src through the streaming dataflow — lazy arrival
-// admission, completion-sink retirement, task recycling — with the exact
-// in-memory record sink, and is observationally identical to Simulate on
-// the materialized equivalent of src (TestGoldenDigests pins this per
-// scheduler). Memory for the record set is still O(invocations); use
-// SimulateAccumulated when the horizon makes even that too much.
-func SimulateStreamed(opts Options, src Source) (*Result, error) {
-	opts, policy, err := streamOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	var set metrics.Set
-	kernel, fleet, err := runStream(opts, policy, src, &set)
-	if err != nil {
-		return nil, err
-	}
-	if len(set.Records) == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
-	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		reg.Counter(obs.CInvocations).Add(int64(len(set.Records)))
-	}
-	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
-	res := &Result{
-		Scheduler:   opts.Scheduler,
-		Set:         set,
-		Makespan:    kernel.Makespan(),
-		Preemptions: set.TotalPreemptions(),
-	}
-	if fleet != nil {
-		res.LaunchedVMs = fleet.Launched()
-		res.FailedVMs = fleet.Failed()
-		if reg := opts.Obs.Registry(); reg != nil {
-			reg.Counter(obs.CFcLaunchFails).Add(int64(res.FailedVMs))
-		}
-	}
-	return res, nil
-}
-
-// StreamStats is a finished fixed-memory streaming simulation: counts,
-// totals, and histogram-backed quantiles instead of per-invocation
-// records.
-type StreamStats struct {
-	// Scheduler that produced this result.
-	Scheduler Scheduler
-	// Completed and Failed count retired invocations.
-	Completed int
-	Failed    int
-	// Preemptions is the total task preemption count.
-	Preemptions int
-	// Makespan is the completion time of the last task.
-	Makespan time.Duration
-	// CostUSD bills every completed invocation at its own memory size
-	// under the default tariff.
-	CostUSD float64
-
-	acc *metrics.Accumulator
-}
-
-// QuantileMs estimates metric m's q-th quantile in milliseconds from the
-// streaming histograms (log-bucket resolution, a few percent of relative
-// error).
-func (s *StreamStats) QuantileMs(m Metric, q float64) (float64, error) {
-	return s.acc.Quantile(m, q)
-}
-
-// P99Seconds estimates the 99th percentile of metric m in seconds.
-func (s *StreamStats) P99Seconds(m Metric) (float64, error) { return s.acc.P99(m) }
-
-// CostAtUniformMemoryUSD rebills every invocation as if it had memMB.
-func (s *StreamStats) CostAtUniformMemoryUSD(memMB int) float64 {
-	return s.acc.CostAtUniformMemory(memMB)
-}
-
-// Summary returns a one-line digest (quantiles are histogram estimates).
-func (s *StreamStats) Summary() string {
-	return fmt.Sprintf("%s: %s | preemptions=%d makespan=%s cost=$%.6f",
-		s.Scheduler, s.acc.Summary(), s.Preemptions, s.Makespan, s.CostUSD)
-}
-
-// SimulateAccumulated runs src through the streaming dataflow with the
-// fixed-memory accumulator sink: peak memory is O(active tasks +
-// watermark window) no matter how long the workload runs. This is the
-// entry point behind the multi-hour ext-diurnal experiment.
-func SimulateAccumulated(opts Options, src Source) (*StreamStats, error) {
-	opts, policy, err := streamOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	acc := metrics.NewAccumulator(pricing.Default())
-	kernel, fleet, err := runStream(opts, policy, src, acc)
-	if err != nil {
-		return nil, err
-	}
-	if acc.Completed() == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
-	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		reg.Counter(obs.CInvocations).Add(int64(acc.Completed() + acc.FailedCount()))
-		if fleet != nil {
-			reg.Counter(obs.CFcLaunchFails).Add(int64(fleet.Failed()))
-		}
-	}
-	return &StreamStats{
-		Scheduler:   opts.Scheduler,
-		Completed:   acc.Completed(),
-		Failed:      acc.FailedCount(),
-		Preemptions: acc.TotalPreemptions(),
-		Makespan:    kernel.Makespan(),
-		CostUSD:     acc.Cost(),
-		acc:         acc,
-	}, nil
-}
-
-// runStream executes the shared streaming run: pooled tasks, lazy
-// admission, sink retirement. In Firecracker mode the fleet wrapper
-// draws boot tasks lazily from the source instead (one microVM per
-// invocation, lifecycle state pruned as VMs retire, refused launches
-// retired through the sink as Failed records), so long-horizon microVM
-// experiments no longer need the materialized launcher.
-func runStream(opts Options, policy ghost.Policy, src Source, sink metrics.Sink) (*simkern.Kernel, *firecracker.Fleet, error) {
-	kcfg, gcfg := simkern.DefaultConfig(opts.Cores), ghost.Config{}
-	if tr := opts.Obs.Tracer(); tr != nil {
-		kcfg.Probe = tr.KernelProbe(0)
-		gcfg.Probe = tr.GhostProbe(0)
-	}
-	sink = opts.Obs.WrapSink(0, sink)
-	var gstats ghost.Stats
-	scfg := simrun.StreamConfig{Sink: sink, Stats: &gstats}
-	var k *simkern.Kernel
-	var fleet *firecracker.Fleet
-	var err error
-	if opts.Firecracker {
-		if fleet, err = firecracker.NewFleet(policy, firecracker.Config{ServerMemMB: opts.ServerMemMB}); err != nil {
-			return nil, nil, err
-		}
-		k, err = simrun.ExecStream(kcfg, fleet, gcfg, fleet.Stream(src, sink), scfg)
-	} else {
-		k, err = simrun.ExecStreamPooled(kcfg, policy, gcfg, src, scfg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		reg.AddGhostStats(gstats)
-		reg.Counter(obs.CKernEvents).Add(int64(k.EventSeq()))
-	}
-	return k, fleet, nil
 }
 
 // Dispatch re-exports the cluster-level dispatch policy selector.
@@ -658,43 +506,24 @@ func (r *ClusterResult) Summary() string {
 	return fmt.Sprintf("cluster[%d×%d %s] %s", r.Servers, r.CoresPerServer, r.Dispatch, r.Result.Summary())
 }
 
-// SimulateCluster routes invs across a fleet and simulates the servers
-// in lockstep over contiguous shards (Shards/Workers; results are
-// deterministic for given inputs regardless of shard count or
-// interleaving).
-func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, error) {
+// clusterConfig resolves opts into the fixed fleet's config: Servers
+// defaults to 4, the per-server options resolve as in serverPolicy, and
+// the cluster layer validates and defaults the rest.
+func clusterConfig(opts ClusterOptions) (ClusterOptions, cluster.Config, error) {
 	if opts.Servers == 0 {
 		opts.Servers = 4
 	}
-	if opts.Servers < 1 {
-		return nil, fmt.Errorf("faassched: Servers must be >= 1, got %d", opts.Servers)
-	}
-	if opts.CoresPerServer == 0 {
-		opts.CoresPerServer = 8
-	}
-	if opts.CoresPerServer < 2 {
-		return nil, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.CoresPerServer)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	if opts.Dispatch == "" {
-		opts.Dispatch = DispatchLeastLoaded
-	}
-	if len(invs) == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
-	}
-	serverOpts := Options{
+	server, mk, err := serverPolicy(Options{
 		Cores:     opts.CoresPerServer,
 		Scheduler: opts.Scheduler,
 		FIFOCores: opts.FIFOCores,
 		TimeLimit: opts.TimeLimit,
+	})
+	if err != nil {
+		return opts, cluster.Config{}, err
 	}
-	// Validate the per-server configuration once, up front.
-	if _, err := newPolicy(serverOpts); err != nil {
-		return nil, err
-	}
-	cres, err := cluster.Simulate(cluster.Config{
+	opts.CoresPerServer, opts.Scheduler = server.Cores, server.Scheduler
+	return opts, cluster.Config{
 		Servers:   opts.Servers,
 		Dispatch:  opts.Dispatch,
 		Seed:      opts.Seed,
@@ -704,14 +533,21 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 		Obs:       opts.Obs,
 		Faults:    opts.Faults,
 		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
-		Policy: func() ghost.Policy {
-			p, err := newPolicy(serverOpts)
-			if err != nil {
-				return nil // unreachable: serverOpts validated above
-			}
-			return p
-		},
-	}, invs)
+		Policy:    mk,
+	}, nil
+}
+
+// SimulateCluster routes invs across a fleet and simulates the servers
+// in lockstep over contiguous shards (Shards/Workers; results are
+// deterministic for given inputs regardless of shard count or
+// interleaving). A one-server fleet is the streamed single machine: it
+// reproduces Simulate's records bit for bit.
+func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, error) {
+	opts, cfg, err := clusterConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	cres, err := cluster.Simulate(cfg, invs)
 	if err != nil {
 		return nil, err
 	}
@@ -751,9 +587,6 @@ type ShardedStats struct {
 	Makespan time.Duration
 	// Ghost aggregates the fleet's full delegation counters.
 	Ghost GhostStats
-	// TicksFired / TicksElided mirror Ghost.Ticks / Ghost.TicksElided
-	// (kept for existing callers).
-	TicksFired, TicksElided int64
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
 	// PerShard reports each shard's server range and share of
@@ -793,49 +626,14 @@ func (s *ShardedStats) Summary() string {
 // fixed fleet would materialize gigabytes of routed slices. Results are
 // bit-for-bit identical at any Shards/Workers setting.
 func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, error) {
-	if opts.Servers == 0 {
-		opts.Servers = 4
-	}
-	if opts.CoresPerServer == 0 {
-		opts.CoresPerServer = 8
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	if opts.Dispatch == "" {
-		opts.Dispatch = DispatchLeastLoaded
+	opts, cfg, err := clusterConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.MetricsWindow == 0 {
 		opts.MetricsWindow = time.Hour
 	}
-	serverOpts := Options{
-		Cores:     opts.CoresPerServer,
-		Scheduler: opts.Scheduler,
-		FIFOCores: opts.FIFOCores,
-		TimeLimit: opts.TimeLimit,
-	}
-	// Validate the per-server configuration once, up front.
-	if _, err := newPolicy(serverOpts); err != nil {
-		return nil, err
-	}
-	rep, err := cluster.SimulateShardedWindowed(cluster.Config{
-		Servers:   opts.Servers,
-		Dispatch:  opts.Dispatch,
-		Seed:      opts.Seed,
-		ColdStart: opts.ColdStart,
-		Shards:    opts.Shards,
-		Workers:   opts.Workers,
-		Obs:       opts.Obs,
-		Faults:    opts.Faults,
-		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
-		Policy: func() ghost.Policy {
-			p, err := newPolicy(serverOpts)
-			if err != nil {
-				return nil // unreachable: serverOpts validated above
-			}
-			return p
-		},
-	}, workload.Source(src), pricing.Default(), opts.MetricsWindow)
+	rep, err := cluster.SimulateShardedWindowed(cfg, workload.Source(src), pricing.Default(), opts.MetricsWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -847,8 +645,6 @@ func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, erro
 		Invocations:  rep.Invocations,
 		Makespan:     rep.Makespan,
 		Ghost:        rep.Stats,
-		TicksFired:   rep.TicksFired,
-		TicksElided:  rep.TicksElided,
 		KernelEvents: rep.Events,
 		PerShard:     rep.PerShard,
 		Faults:       rep.Faults,
@@ -926,25 +722,16 @@ func autoscaleConfig(opts AutoscaleOptions) (AutoscaleOptions, autoscale.Config,
 	if opts.MaxServers == 0 {
 		opts.MaxServers = 4
 	}
-	if opts.CoresPerServer == 0 {
-		opts.CoresPerServer = 8
-	}
-	if opts.CoresPerServer < 2 {
-		return opts, autoscale.Config{}, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.CoresPerServer)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	serverOpts := Options{
+	server, mk, err := serverPolicy(Options{
 		Cores:     opts.CoresPerServer,
 		Scheduler: opts.Scheduler,
 		FIFOCores: opts.FIFOCores,
 		TimeLimit: opts.TimeLimit,
-	}
-	// Validate the per-server configuration once, up front.
-	if _, err := newPolicy(serverOpts); err != nil {
+	})
+	if err != nil {
 		return opts, autoscale.Config{}, err
 	}
+	opts.CoresPerServer, opts.Scheduler = server.Cores, server.Scheduler
 	return opts, autoscale.Config{
 		Min:       opts.MinServers,
 		Max:       opts.MaxServers,
@@ -956,13 +743,7 @@ func autoscaleConfig(opts AutoscaleOptions) (AutoscaleOptions, autoscale.Config,
 		Obs:       opts.Obs,
 		Faults:    opts.Faults,
 		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
-		Sched: func() ghost.Policy {
-			p, err := newPolicy(serverOpts)
-			if err != nil {
-				return nil // unreachable: serverOpts validated above
-			}
-			return p
-		},
+		Sched:     mk,
 	}, nil
 }
 
@@ -1084,51 +865,4 @@ func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, err
 		acc:           merged,
 		res:           res,
 	}, nil
-}
-
-// SimulateAutoscaledExact is SimulateAutoscaled with exact per-record
-// sinks, packaged as a ClusterResult (merged record set, per-server
-// breakdown, full assignment). Memory is O(invocations) — it exists for
-// validation: pinned to MinServers == MaxServers == N it reproduces
-// SimulateCluster bit for bit (the golden digests pin this per dispatch
-// policy).
-func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult, error) {
-	opts, cfg, err := autoscaleConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.TrackAssignment = true
-	res, err := autoscale.Run(cfg, workload.Source(src))
-	if err != nil {
-		return nil, err
-	}
-	out := &ClusterResult{
-		Result: Result{
-			Scheduler:   opts.Scheduler,
-			Makespan:    res.Makespan,
-			Preemptions: res.Preemptions,
-		},
-		Dispatch:       res.Dispatch,
-		Servers:        res.Launched(),
-		CoresPerServer: opts.CoresPerServer,
-		Assignment:     res.Assignment,
-	}
-	for i := range res.Servers {
-		sv := &res.Servers[i]
-		sr := ServerResult{
-			Server:      sv.Index,
-			Invocations: sv.Routed,
-			Makespan:    sv.Makespan,
-			Preemptions: sv.Preemptions,
-		}
-		if sv.Set != nil {
-			sr.Set = *sv.Set
-			out.Result.Set.Records = append(out.Result.Set.Records, sv.Set.Records...)
-		}
-		out.PerServer = append(out.PerServer, sr)
-	}
-	sort.Slice(out.Result.Set.Records, func(i, j int) bool {
-		return out.Result.Set.Records[i].ID < out.Result.Set.Records[j].ID
-	})
-	return out, nil
 }

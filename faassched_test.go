@@ -137,6 +137,7 @@ func TestSimulateClusterValidation(t *testing.T) {
 	}{
 		{"negative servers", ClusterOptions{Servers: -1}, invs},
 		{"1 core per server", ClusterOptions{CoresPerServer: 1}, invs},
+		{"1 core per server under cfs", ClusterOptions{Servers: 2, CoresPerServer: 1, Scheduler: SchedulerCFS}, invs},
 		{"unknown scheduler", ClusterOptions{Scheduler: "bogus"}, invs},
 		{"unknown dispatch", ClusterOptions{Dispatch: "bogus"}, invs},
 		{"empty workload", ClusterOptions{}, nil},
@@ -145,7 +146,10 @@ func TestSimulateClusterValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := SimulateCluster(tc.opts, tc.invs); err == nil {
-				t.Errorf("%s accepted", tc.name)
+				t.Errorf("%s accepted by SimulateCluster", tc.name)
+			}
+			if _, err := SimulateShardedReplay(tc.opts, SliceSource(tc.invs)); err == nil {
+				t.Errorf("%s accepted by SimulateShardedReplay", tc.name)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ package faassched
 // the kernel under the dedicated fault ordering class.
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -218,6 +219,42 @@ func TestFaultsRejectNonEvictingKillPlans(t *testing.T) {
 	if err == nil {
 		t.Error("kill plan accepted under a scheduler with no task eviction")
 	}
+}
+
+// TestKillPlanFailsBeforeRouting: a kill plan under a scheduler without
+// task eviction must fail before the first arrival is pulled — in the
+// sharded replay and in the autoscaled fleet — rather than after the
+// whole workload has been routed into failing shards.
+func TestKillPlanFailsBeforeRouting(t *testing.T) {
+	t.Parallel()
+	invs, err := BuildWorkload(WorkloadSpec{Seed: 1, Minutes: 2, MaxInvocations: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := FaultOptions{Timeout: 20 * time.Second}
+	var pulled int
+	counting := func(yield func(Invocation) bool) {
+		for _, inv := range invs {
+			pulled++
+			if !yield(inv) {
+				return
+			}
+		}
+	}
+	check := func(mode string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "cannot evict") {
+			t.Errorf("%s: got %v, want the task-eviction error", mode, err)
+		}
+		if pulled != 0 {
+			t.Errorf("%s: pulled %d of %d invocations before failing", mode, pulled, len(invs))
+		}
+		pulled = 0
+	}
+	_, err = SimulateShardedReplay(ClusterOptions{Servers: 6, Scheduler: SchedulerRR, Faults: plan}, counting)
+	check("sharded replay", err)
+	_, err = SimulateAutoscaled(AutoscaleOptions{MinServers: 2, MaxServers: 4, Scheduler: SchedulerRR, Faults: plan}, counting)
+	check("autoscaled", err)
 }
 
 // TestAutoscaleCrashRecovery: terminal crash mode — a crashed server is

@@ -7,10 +7,10 @@ package faassched
 // core must not change a single one, because events must keep firing in
 // exactly the same (time, class, seq) order. Every single-machine
 // scheduler runs through BOTH dataflows — materialized (pre-seeded tasks,
-// end-of-run Collect) and streamed (lazy admission, completion sinks,
-// task recycling) — and both must hash to the same committed digest.
-// Fleets run on the lockstep engine, and a pinned autoscaler must hash to
-// the same fleet digests.
+// end-of-run Collect) and streamed as a one-server fleet (lazy admission,
+// completion sinks, task recycling) — and both must hash to the same
+// committed digest. Fleets run on the lockstep engine, and a pinned
+// autoscaler must hash to the same fleet digests.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //
@@ -29,7 +29,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/faassched/faassched/internal/autoscale"
 	"github.com/faassched/faassched/internal/obs"
+	"github.com/faassched/faassched/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json")
@@ -134,28 +136,72 @@ func computeDigests(t *testing.T) map[string]string {
 	return out
 }
 
-// computeStreamedDigests reruns the single-machine half of the golden
-// matrix through the streaming dataflow — lazy arrival admission,
-// completion-sink retirement, task recycling — under the SAME keys as
-// computeDigests. The streaming refactor's core claim is that both
-// dataflows are observationally identical, so every streamed digest must
-// match the committed materialized digest bit for bit. (Fleets have one
-// dataflow, the lockstep run, so they have no streamed twin; the
-// Firecracker entry has none either: microVM launches need the
-// materialized workload.)
-func computeStreamedDigests(t *testing.T) map[string]string {
+// computeOneServerDigests reruns the single-machine half of the golden
+// matrix as one-server fleets — the streamed dataflow: lazy arrival
+// admission, completion-sink retirement, task recycling — under the SAME
+// keys as computeDigests. Both dataflows must be observationally
+// identical, so every one-server digest must match the committed
+// materialized digest bit for bit. (The Firecracker entry has no twin:
+// microVMs run only on the materialized Simulate, whose records come in
+// vCPU-admission order.)
+func computeOneServerDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
 	out := map[string]string{}
 	o := goldenObs(t)
 
 	for _, sched := range Schedulers() {
-		res, err := SimulateStreamed(Options{Cores: 8, Scheduler: sched, Obs: o}, SliceSource(invs))
+		cres, err := SimulateCluster(ClusterOptions{Servers: 1, CoresPerServer: 8, Scheduler: sched, Obs: o}, invs)
 		if err != nil {
-			t.Fatalf("streamed %s: %v", sched, err)
+			t.Fatalf("one-server %s: %v", sched, err)
 		}
-		out["sim/"+string(sched)] = digestResult(res)
+		out["sim/"+string(sched)] = digestResult(&cres.Result)
 	}
+	return out
+}
+
+// autoscaledExact runs the elastic autoscaler with exact per-server
+// record sets and the full assignment, packaged as a ClusterResult for
+// digestCluster.
+func autoscaledExact(t *testing.T, opts AutoscaleOptions, invs []Invocation) *ClusterResult {
+	t.Helper()
+	opts, cfg, err := autoscaleConfig(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TrackAssignment = true
+	res, err := autoscale.Run(cfg, workload.SliceSource(invs))
+	if err != nil {
+		t.Fatalf("autoscaled %s/%s: %v", opts.Scheduler, opts.Dispatch, err)
+	}
+	out := &ClusterResult{
+		Result: Result{
+			Scheduler:   opts.Scheduler,
+			Makespan:    res.Makespan,
+			Preemptions: res.Preemptions,
+		},
+		Dispatch:       res.Dispatch,
+		Servers:        res.Launched(),
+		CoresPerServer: opts.CoresPerServer,
+		Assignment:     res.Assignment,
+	}
+	for i := range res.Servers {
+		sv := &res.Servers[i]
+		sr := ServerResult{
+			Server:      sv.Index,
+			Invocations: sv.Routed,
+			Makespan:    sv.Makespan,
+			Preemptions: sv.Preemptions,
+		}
+		if sv.Set != nil {
+			sr.Set = *sv.Set
+			out.Result.Set.Records = append(out.Result.Set.Records, sv.Set.Records...)
+		}
+		out.PerServer = append(out.PerServer, sr)
+	}
+	sort.Slice(out.Result.Set.Records, func(i, j int) bool {
+		return out.Result.Set.Records[i].ID < out.Result.Set.Records[j].ID
+	})
 	return out
 }
 
@@ -172,22 +218,16 @@ func computeAutoscaledDigests(t *testing.T) map[string]string {
 	o := goldenObs(t)
 
 	for _, d := range Dispatches() {
-		cres, err := SimulateAutoscaledExact(AutoscaleOptions{
+		cres := autoscaledExact(t, AutoscaleOptions{
 			MinServers: 3, MaxServers: 3, CoresPerServer: 4,
 			Dispatch: d, Scheduler: SchedulerHybrid, Seed: 1, Obs: o,
-		}, SliceSource(invs))
-		if err != nil {
-			t.Fatalf("autoscaled %s: %v", d, err)
-		}
+		}, invs)
 		out["cluster/hybrid/"+string(d)] = digestCluster(cres)
 	}
-	cres, err := SimulateAutoscaledExact(AutoscaleOptions{
+	cres := autoscaledExact(t, AutoscaleOptions{
 		MinServers: 3, MaxServers: 3, CoresPerServer: 4,
 		Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS, Seed: 1, Obs: o,
-	}, SliceSource(invs))
-	if err != nil {
-		t.Fatalf("autoscaled cfs: %v", err)
-	}
+	}, invs)
 	out["cluster/cfs/least-loaded"] = digestCluster(cres)
 	return out
 }
@@ -228,13 +268,16 @@ func computeInstrumentedDigests(t *testing.T) map[string]string {
 func TestGoldenDigests(t *testing.T) {
 	got := computeDigests(t)
 
-	// The streamed dataflow must reproduce the materialized digests for
+	// The one-server fleet must reproduce the materialized digests for
 	// every scheduler — this is the proof that lazy admission + sink
 	// retirement + task recycling are observationally invisible.
-	streamed := computeStreamedDigests(t)
-	for k, v := range streamed {
+	oneServer := computeOneServerDigests(t)
+	if len(oneServer) != len(Schedulers()) {
+		t.Errorf("one-server twin covers %d of %d schedulers", len(oneServer), len(Schedulers()))
+	}
+	for k, v := range oneServer {
 		if got[k] != v {
-			t.Errorf("streamed dataflow diverges from materialized on %s:\n  streamed     %.12s…\n  materialized %.12s…", k, v, got[k])
+			t.Errorf("one-server fleet diverges from materialized on %s:\n  one-server   %.12s…\n  materialized %.12s…", k, v, got[k])
 		}
 	}
 

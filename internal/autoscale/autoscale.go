@@ -221,9 +221,6 @@ type Result struct {
 	// Stats aggregates the per-server enclaves' full delegation counters
 	// (messages, commits, fired vs elided ticks, migrations).
 	Stats ghost.Stats
-	// TicksFired / TicksElided mirror Stats.Ticks / Stats.TicksElided
-	// (kept for existing callers).
-	TicksFired, TicksElided int64
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
 	// Assignment maps each invocation index to its server, when
@@ -505,29 +502,33 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		c.crashCtr = reg.Counter(obs.CScaleCrashes)
 	}
 	// The Min floor is provisioned before the run: launched and ready at
-	// time zero, exactly the fixed fleet's starting state.
+	// time zero, exactly the fixed fleet's starting state. Activating it
+	// before the first arrival builds its policies on this goroutine, so
+	// a fault plan they cannot serve fails before anything is routed.
 	for i := 0; i < cfg.Min; i++ {
 		c.launch(0, 0)
 	}
+	runErr := c.activate(0)
 
 	idx := 0
 	lastArr := time.Duration(0)
-	var runErr error
-	src(func(inv workload.Invocation) bool {
-		if inv.Arrival < lastArr {
-			runErr = fmt.Errorf("autoscale: source out of order at invocation %d: %v after %v",
-				idx, inv.Arrival, lastArr)
-			return false
+	if runErr == nil {
+		src(func(inv workload.Invocation) bool {
+			if inv.Arrival < lastArr {
+				runErr = fmt.Errorf("autoscale: source out of order at invocation %d: %v after %v",
+					idx, inv.Arrival, lastArr)
+				return false
+			}
+			lastArr = inv.Arrival
+			if runErr = c.processArrival(inv, idx); runErr != nil {
+				return false
+			}
+			idx++
+			return true
+		})
+		if runErr == nil && idx == 0 {
+			runErr = fmt.Errorf("autoscale: empty workload")
 		}
-		lastArr = inv.Arrival
-		if runErr = c.processArrival(inv, idx); runErr != nil {
-			return false
-		}
-		idx++
-		return true
-	})
-	if runErr == nil && idx == 0 {
-		runErr = fmt.Errorf("autoscale: empty workload")
 	}
 
 	// Drain-before-retire, fleet-wide: stop routing and let every server
@@ -609,6 +610,9 @@ func (c *controller) activate(t time.Duration) error {
 		} else {
 			sv.Set = &metrics.Set{}
 			sv.count.inner = sv.Set
+		}
+		if _, err := c.cfg.Faults.Evictor(policy); err != nil {
+			return fmt.Errorf("autoscale: server %d: %w", idx, err)
 		}
 		var fm *faults.Machine
 		if c.faultsOn {
@@ -898,7 +902,6 @@ func (c *controller) finish(routed int) (*Result, error) {
 		res.Servers = append(res.Servers, sv.Server)
 	}
 	res.Faults.Crashes = c.crashes
-	res.TicksFired, res.TicksElided = res.Stats.Ticks, res.Stats.TicksElided
 
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Time != events[j].Time {

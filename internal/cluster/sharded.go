@@ -43,9 +43,6 @@ type ShardedReplay struct {
 	// (messages, commits, fired vs elided ticks, migrations) across the
 	// fleet.
 	Stats ghost.Stats
-	// TicksFired / TicksElided mirror Stats.Ticks / Stats.TicksElided
-	// (kept for existing callers).
-	TicksFired, TicksElided int64
 	// Events sums scheduled kernel events across servers.
 	Events uint64
 	// PerShard breaks invocations and events down by shard, in shard
@@ -91,8 +88,6 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 		}
 		rep.PerShard[i] = su
 	}
-	rep.TicksFired = rep.Stats.Ticks
-	rep.TicksElided = rep.Stats.TicksElided
 	if rep.Windowed, err = metrics.MergeTree(run.accs); err != nil {
 		return nil, err
 	}
@@ -178,11 +173,15 @@ func runSharded(cfg *Config, src workload.Source, exact bool, tariff pricing.Tar
 	rf := newRouteFaults(cfg.Faults, router, cfg.Obs.Tracer())
 
 	// Policies are built sequentially up front so factories need not be
-	// goroutine-safe.
+	// goroutine-safe, and a fault plan they cannot serve fails here,
+	// before the first arrival is routed.
 	policies := make([]ghost.Policy, cfg.Servers)
 	for s := range policies {
 		if policies[s] = cfg.Policy(); policies[s] == nil {
 			return nil, fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
+		}
+		if _, err := cfg.Faults.Evictor(policies[s]); err != nil {
+			return nil, fmt.Errorf("cluster: server %d: %w", s, err)
 		}
 	}
 	run := &shardedRun{ranges: ranges, machines: make([]*Machine, cfg.Servers)}

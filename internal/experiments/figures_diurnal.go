@@ -5,11 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/core"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/trace"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -190,22 +190,20 @@ func windowTrack(win *metrics.WindowedAccumulator) string {
 		strings.Join(p99s, " "), strings.Join(costs, " "))
 }
 
-// RunStreamed executes one policy over the source through the streaming
-// pipeline with a fixed-memory windowed sink (width from diurnalWindow),
-// returning the sink, the makespan, and the enclave's delegation stats
-// (fired vs elided agent ticks).
+// RunStreamed executes one policy over the source as a one-server fleet
+// with a fixed-memory windowed sink (width from diurnalWindow), returning
+// the sink, the makespan, and the enclave's delegation stats (fired vs
+// elided agent ticks).
 func (e *Env) RunStreamed(policy ghost.Policy, src workload.Source) (*metrics.WindowedAccumulator, time.Duration, ghost.Stats, error) {
-	win, err := metrics.NewWindowedAccumulator(e.Tariff, e.diurnalWindow())
+	rep, err := cluster.SimulateShardedWindowed(cluster.Config{
+		Servers: 1,
+		Kernel:  simkern.DefaultConfig(e.Cores),
+		Policy:  func() ghost.Policy { return policy },
+	}, src, e.Tariff, e.diurnalWindow())
 	if err != nil {
 		return nil, 0, ghost.Stats{}, err
 	}
-	var st ghost.Stats
-	k, err := simrun.ExecStreamPooled(simkern.DefaultConfig(e.Cores), policy, ghost.Config{}, src,
-		simrun.StreamConfig{Sink: win, Stats: &st})
-	if err != nil {
-		return nil, 0, ghost.Stats{}, err
-	}
-	return win, k.Makespan(), st, nil
+	return rep.Windowed, rep.Makespan, rep.Stats, nil
 }
 
 // tickNote renders fired vs elided agent-tick counters: how much of the

@@ -22,6 +22,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"github.com/faassched/faassched/internal/ghost"
 )
 
 // Defaults applied by Config.withDefaults.
@@ -95,6 +97,18 @@ func (c Config) Enabled() bool {
 // timeouts), which requires the scheduler to implement ghost.TaskEvictor.
 // Straggler-only plans work under any scheduler.
 func (c Config) Kills() bool { return c.CrashMTBF > 0 || c.Timeout > 0 }
+
+// Evictor returns the ghost.TaskEvictor on policy's Unwrap chain. A plan
+// that kills fails when there is none; any other plan accepts a nil
+// evictor. Fleets call it on the caller goroutine before the first
+// arrival, so an unsupported plan fails before routing anything.
+func (c Config) Evictor(policy ghost.Policy) (ghost.TaskEvictor, error) {
+	ev, _ := ghost.As[ghost.TaskEvictor](policy)
+	if c.Kills() && ev == nil {
+		return nil, fmt.Errorf("faults: policy %q cannot evict tasks (no ghost.TaskEvictor); crash/timeout plans need fifo, cfs, or hybrid", policy.Name())
+	}
+	return ev, nil
+}
 
 // Validate rejects nonsensical plans.
 func (c Config) Validate() error {

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -114,10 +113,11 @@ func newMachine(cfg Config, server int) *Machine {
 // Plans that kill (crashes or timeouts) require a ghost.TaskEvictor on
 // policy's Unwrap chain; straggler-only and instrument-only plans do not.
 func (m *Machine) WrapPolicy(policy ghost.Policy) (ghost.Policy, error) {
-	m.evictor, _ = ghost.As[ghost.TaskEvictor](policy)
-	if m.cfg.Kills() && m.evictor == nil {
-		return nil, fmt.Errorf("faults: policy %q cannot evict tasks (no ghost.TaskEvictor); crash/timeout plans need fifo, cfs, or hybrid", policy.Name())
+	ev, err := m.cfg.Evictor(policy)
+	if err != nil {
+		return nil, err
 	}
+	m.evictor = ev
 	return &faultPolicy{m: m, inner: policy}, nil
 }
 

@@ -30,12 +30,40 @@ func testInvocations(t *testing.T, n int) []workload.Invocation {
 	return workload.Sample(invs, n)
 }
 
-// TestStreamMatchesMaterialized is the layer-local equivalence proof: the
-// same workload driven through Exec (everything pre-seeded, Collect at the
-// end) and through ExecStream (lazy admission, completion sink) must
-// produce bit-for-bit identical records, makespans, and core counters —
-// for a tick-driven preempting policy (CFS) and a tickless one (FIFO).
-func TestStreamMatchesMaterialized(t *testing.T) {
+// runIncremental drives one Incremental machine over invs the way the
+// fleet executor does: run the clock to every watermark k·window strictly
+// below each arrival, admit the arrival as a pooled task with ID index+1,
+// and drain once the workload is exhausted.
+func runIncremental(t *testing.T, kcfg simkern.Config, policy ghost.Policy, invs []workload.Invocation, window time.Duration, sink metrics.Sink, pool *workload.TaskPool) *Incremental {
+	t.Helper()
+	inc, err := NewIncremental(kcfg, policy, ghost.Config{}, sink, func(task *simkern.Task) { pool.Put(task) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := window
+	for i, inv := range invs {
+		for ; inv.Arrival > mark; mark += window {
+			if err := inc.RunTo(mark); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := inc.Admit(pool.Get(inv, simkern.TaskID(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	return inc
+}
+
+// TestIncrementalMatchesMaterialized is the layer-local equivalence
+// proof: the same workload driven through ExecStats (everything
+// pre-seeded, Collect at the end) and through Incremental (lazy
+// admission, completion sink) must produce bit-for-bit identical records,
+// makespans, and core counters — for a tick-driven preempting policy
+// (CFS) and a tickless one (FIFO).
+func TestIncrementalMatchesMaterialized(t *testing.T) {
 	invs := testInvocations(t, 400)
 	policies := map[string]func() ghost.Policy{
 		"cfs":  func() ghost.Policy { return cfs.New(cfs.Params{}) },
@@ -51,12 +79,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			want := metrics.Collect(mat)
 
 			var got metrics.Set
-			src, stop := PooledTasks(workload.SliceSource(invs), workload.NewTaskPool())
-			defer stop()
-			st, err := ExecStream(kcfg, mk(), ghost.Config{}, src, StreamConfig{Sink: &got})
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := runIncremental(t, kcfg, mk(), invs, DefaultWindow, &got, workload.NewTaskPool()).k
 			sort.Slice(got.Records, func(i, j int) bool { return got.Records[i].ID < got.Records[j].ID })
 
 			if len(got.Records) != len(want.Records) {
@@ -80,20 +103,14 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestStreamRecyclesThroughPool: with a pool attached, the streamed run
-// must complete with far fewer live task structs than invocations — the
+// TestIncrementalRecyclesThroughPool: with a pool attached, the run must
+// complete with far fewer live task structs than invocations — the
 // memory bound the streaming dataflow exists for.
-func TestStreamRecyclesThroughPool(t *testing.T) {
+func TestIncrementalRecyclesThroughPool(t *testing.T) {
 	invs := testInvocations(t, 600)
 	pool := workload.NewTaskPool()
 	acc := metrics.NewAccumulator(pricing.Default())
-	src, stop := PooledTasks(workload.SliceSource(invs), pool)
-	defer stop()
-	_, err := ExecStream(simkern.DefaultConfig(4), cfs.New(cfs.Params{}), ghost.Config{}, src,
-		StreamConfig{Sink: acc, Recycle: func(task *simkern.Task) { pool.Put(task) }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runIncremental(t, simkern.DefaultConfig(4), cfs.New(cfs.Params{}), invs, DefaultWindow, acc, pool)
 	if acc.Completed() != len(invs) {
 		t.Fatalf("accumulator saw %d completions, want %d", acc.Completed(), len(invs))
 	}
@@ -104,37 +121,23 @@ func TestStreamRecyclesThroughPool(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation covers the error paths.
-func TestStreamConfigValidation(t *testing.T) {
-	empty := func() (*simkern.Task, bool) { return nil, false }
-	if _, err := ExecStream(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, empty, StreamConfig{}); err == nil {
+// TestIncrementalValidation covers the error paths.
+func TestIncrementalValidation(t *testing.T) {
+	if _, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, nil, nil); err == nil {
 		t.Error("missing sink accepted")
 	}
 	var set metrics.Set
-	if _, err := ExecStream(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, empty,
-		StreamConfig{Sink: &set, Window: -time.Second}); err == nil {
-		t.Error("negative window accepted")
+	inc, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &set, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// An out-of-order source must surface as an error, not a hang.
-	bad := makeTasks([]time.Duration{time.Second, 500 * time.Millisecond})
-	if _, err := ExecStream(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, bad,
-		StreamConfig{Sink: &set}); err == nil {
-		t.Error("out-of-order source accepted")
+	// An arrival behind the last watermark must surface as an error, not
+	// a silently reordered run.
+	if err := inc.RunTo(time.Second); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func makeTasks(arrivals []time.Duration) TaskSource {
-	i := 0
-	return func() (*simkern.Task, bool) {
-		if i >= len(arrivals) {
-			return nil, false
-		}
-		i++
-		return &simkern.Task{
-			ID:      simkern.TaskID(i),
-			Kind:    simkern.KindFunction,
-			Arrival: arrivals[i-1],
-			Work:    time.Millisecond,
-		}, true
+	late := &simkern.Task{ID: 1, Kind: simkern.KindFunction, Arrival: 500 * time.Millisecond, Work: time.Millisecond}
+	if err := inc.Admit(late); err == nil {
+		t.Error("arrival behind the watermark accepted")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // delegation enclave, seeds work with add, and processes events until the
 // machine drains. It errors if any task is left unfinished. The enclave's
 // delegation counters are snapshotted into stats (when non-nil) after the
-// run — the materialized counterpart of StreamConfig.Stats.
+// run — the materialized counterpart of Incremental.Stats.
 func ExecStats(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add func(*simkern.Kernel) error, stats *ghost.Stats) (*simkern.Kernel, error) {
 	k, err := simkern.New(kcfg)
 	if err != nil {

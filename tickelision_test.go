@@ -5,7 +5,7 @@ package faassched
 // ghost.Config.ForceTickPump is the test knob that forces the naive
 // pump, so each (seed × scheduler × machine) cell runs three ways —
 // materialized-naive (the reference), materialized-elided, and
-// streamed-elided — and all three must produce identical per-invocation
+// streamed-elided as a one-server fleet — and all three must produce identical per-invocation
 // record streams. TestGoldenDigests separately pins the same claim against
 // the committed digests; this oracle adds randomized workloads, the
 // adaptive/rightsizing hybrid (whose monitor mutates state from policy
@@ -78,47 +78,39 @@ func oracleMaterialized(t *testing.T, kcfg simkern.Config, policy ghost.Policy, 
 	return metrics.Collect(k).Records, enc.Stats()
 }
 
-// oracleStreamed runs invs through lazy admission + sink retirement and
-// returns the records (sorted back to id order) plus the tick counters.
+// oracleStreamed runs invs as a one-server fleet — lazy admission + sink
+// retirement — and returns the records (in id order) plus the tick
+// counters.
 func oracleStreamed(t *testing.T, kcfg simkern.Config, policy ghost.Policy, invs []Invocation, force bool) ([]metrics.Record, ghost.Stats) {
 	t.Helper()
-	var set metrics.Set
-	var st ghost.Stats
-	_, err := simrun.ExecStreamPooled(kcfg, policy, ghost.Config{ForceTickPump: force},
-		workload.SliceSource(invs), simrun.StreamConfig{Sink: &set, Stats: &st})
+	res, err := cluster.Simulate(cluster.Config{
+		Servers: 1,
+		Kernel:  kcfg,
+		Policy:  func() ghost.Policy { return policy },
+		Ghost:   ghost.Config{ForceTickPump: force},
+	}, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
-	return set.Records, st
+	return res.Set.Records, res.Stats
 }
 
 // oracleFirecracker runs invs one microVM per invocation under a fleet
-// with the given memory budget, on the materialized or the streamed path,
-// and returns the records in id order, the tick counters and the number
-// of refused launches.
-func oracleFirecracker(t *testing.T, policy ghost.Policy, invs []Invocation, memMB int, streamed, force bool) ([]metrics.Record, ghost.Stats, int) {
+// with the given memory budget and returns the records in id order, the
+// tick counters and the number of refused launches.
+func oracleFirecracker(t *testing.T, policy ghost.Policy, invs []Invocation, memMB int, force bool) ([]metrics.Record, ghost.Stats, int) {
 	t.Helper()
 	fleet, err := firecracker.NewFleet(policy, firecracker.Config{ServerMemMB: memMB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kcfg, gcfg := simkern.DefaultConfig(8), ghost.Config{ForceTickPump: force}
-	var set metrics.Set
 	var st ghost.Stats
-	if streamed {
-		_, err = simrun.ExecStream(kcfg, fleet, gcfg, fleet.Stream(workload.SliceSource(invs), &set),
-			simrun.StreamConfig{Sink: &set, Stats: &st})
-	} else {
-		var k *simkern.Kernel
-		k, err = simrun.ExecStats(kcfg, fleet, gcfg, func(k *simkern.Kernel) error { return fleet.Launch(k, invs) }, &st)
-		if err == nil {
-			set = metrics.Collect(k)
-		}
-	}
+	k, err := simrun.ExecStats(simkern.DefaultConfig(8), fleet, ghost.Config{ForceTickPump: force},
+		func(k *simkern.Kernel) error { return fleet.Launch(k, invs) }, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := metrics.Collect(k)
 	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
 	return set.Records, st, fleet.Failed()
 }
@@ -276,28 +268,20 @@ func TestTickElisionOracle(t *testing.T) {
 		}
 		// Firecracker-wrapped: the enclave reaches the scheduler's Ticker
 		// through Fleet.Unwrap. The tight budget refuses most launches, so
-		// both paths abort tasks inside message dispatch. Every run must
-		// match the materialized naive reference.
+		// tasks abort inside message dispatch. The elided run must match
+		// the naive reference.
 		for _, memMB := range []int{0, oracleTightMemMB} {
 			for _, s := range schedulers {
 				t.Run(fmt.Sprintf("seed%d/firecracker-mem%d/%s", seed, memMB, s.name), func(t *testing.T) {
-					var ref []metrics.Record
-					for _, streamed := range []bool{false, true} {
-						naive, naiveStats, failed := oracleFirecracker(t, s.mk(), invs, memMB, streamed, true)
-						if (failed > 0) != (memMB == oracleTightMemMB) {
-							t.Fatalf("%d launches refused under a %d MB budget", failed, memMB)
-						}
-						if ref == nil {
-							ref = naive
-						} else if d := oracleRecordsDiff(ref, naive); d != "" {
-							t.Fatalf("streamed naive run diverges from materialized: %s", d)
-						}
-						elided, elidedStats, _ := oracleFirecracker(t, s.mk(), invs, memMB, streamed, false)
-						if d := oracleRecordsDiff(ref, elided); d != "" {
-							t.Fatalf("streamed=%v elided run diverges from naive pump: %s", streamed, d)
-						}
-						oracleTicksSaved(t, naiveStats, elidedStats)
+					naive, naiveStats, failed := oracleFirecracker(t, s.mk(), invs, memMB, true)
+					if (failed > 0) != (memMB == oracleTightMemMB) {
+						t.Fatalf("%d launches refused under a %d MB budget", failed, memMB)
 					}
+					elided, elidedStats, _ := oracleFirecracker(t, s.mk(), invs, memMB, false)
+					if d := oracleRecordsDiff(naive, elided); d != "" {
+						t.Fatalf("elided run diverges from naive pump: %s", d)
+					}
+					oracleTicksSaved(t, naiveStats, elidedStats)
 				})
 			}
 		}
